@@ -71,7 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_assignments(text: str) -> dict:
+def _parse_assignments(text: str, fis: FuzzyInferenceSystem) -> dict:
+    """VAR=VALUE pairs, each value read by its input variable's domain.
+
+    Interval values become floats.  Code-list values stay text, because a
+    catalog stores its codes as strings, so g=1 selects the code "1".  A
+    value that is not a number, and a name that is not an input, is passed
+    on as text for evaluate to report.
+    """
     values = {}
     for part in text.split(","):
         part = part.strip()
@@ -82,10 +89,13 @@ def _parse_assignments(text: str) -> dict:
         raw = raw.strip()
         if not sep or not name or not raw:
             raise LingmapError(f"bad assignment {part!r}: expected VAR=VALUE")
-        try:
-            values[name] = float(raw)
-        except ValueError:
-            values[name] = raw
+        values[name] = raw
+        var = fis.inputs.get(name)
+        if var is not None and isinstance(var.domain, Interval):
+            try:
+                values[name] = float(raw)
+            except ValueError:
+                pass
     if not values:
         raise LingmapError("no input assignments given")
     return values
@@ -168,7 +178,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     fis = load_fis(args.fis)
-    values = _parse_assignments(args.assignments)
+    values = _parse_assignments(args.assignments, fis)
     outputs = evaluate(fis, values)
     for name, value in outputs.items():
         print(f"{name} = {value:.4f}")
@@ -190,27 +200,33 @@ def _cmd_surface(args) -> int:
     if len(args.axis) not in (1, 2):
         raise LingmapError("give --axis once or twice")
     axes = [_parse_axis(a) for a in args.axis]
-    fixed = _parse_assignments(args.fix) if args.fix else {}
+    fixed = _parse_assignments(args.fix, fis) if args.fix else {}
     for name, _ in axes:
         if name in fixed:
             raise LingmapError(f"'{name}' is both an axis and fixed")
 
     lines = []
-    if len(axes) == 1:
-        (xname, xs), = axes
-        lines.append(f"{xname},{out_name}")
-        for x in xs:
-            value = evaluate(fis, {**fixed, xname: float(x)})[out_name]
-            lines.append(f"{float(x)!r},{value!r}")
-    else:
-        (rname, rows), (cname, cols) = axes
-        lines.append(f"{rname}\\{cname}," + ",".join(repr(float(c)) for c in cols))
-        for r in rows:
-            cells = [repr(float(r))]
-            for c in cols:
-                value = evaluate(fis, {**fixed, rname: float(r), cname: float(c)})[out_name]
-                cells.append(repr(value))
-            lines.append(",".join(cells))
+    try:
+        if len(axes) == 1:
+            (xname, xs), = axes
+            lines.append(f"{xname},{out_name}")
+            for x in xs:
+                cell = {xname: float(x)}
+                value = evaluate(fis, {**fixed, **cell})[out_name]
+                lines.append(f"{float(x)!r},{value!r}")
+        else:
+            (rname, rows), (cname, cols) = axes
+            lines.append(f"{rname}\\{cname}," + ",".join(repr(float(c)) for c in cols))
+            for r in rows:
+                cells = [repr(float(r))]
+                for c in cols:
+                    cell = {rname: float(r), cname: float(c)}
+                    value = evaluate(fis, {**fixed, **cell})[out_name]
+                    cells.append(repr(value))
+                lines.append(",".join(cells))
+    except NoRuleFiredError as exc:
+        where = ", ".join(f"{name}={value!r}" for name, value in cell.items())
+        raise NoRuleFiredError(f"{exc}, at {where}") from None
     text = "\n".join(lines) + "\n"
 
     if args.out:

@@ -35,6 +35,10 @@ from .variables import Interval, LinguisticVariable
 # elicitation) need at least six observations.
 MIN_OBSERVATIONS = 6
 
+# Elements (2 MB of float64) in the scratch block subtractive clustering
+# computes potentials in; a block always holds at least one whole row.
+_POTENTIAL_BLOCK = 2**18
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -136,6 +140,32 @@ def _pick_max(potentials: np.ndarray, xs: np.ndarray) -> int:
     return int(candidates[np.argmin(xs[candidates])])
 
 
+def _potentials(zs: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_j exp(alpha * (zs[i] - zs[j])**2) for every i, in O(n) memory.
+
+    Rows are computed a block at a time in one scratch buffer.  Each
+    potential is still the sum of one whole contiguous row, reduced in the
+    same order as a row of the n x n matrix would be, so the result equals
+    the dense formula bit for bit.
+    """
+    n = zs.size
+    rows = max(1, _POTENTIAL_BLOCK // n)
+    # one buffer per call: fresh per-block temporaries of this size are
+    # mapped and unmapped by the allocator on every block, which made the
+    # blocked loop slower than the dense formula
+    buf = np.empty((min(rows, n), n))
+    potentials = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[: stop - start]
+        np.subtract(zs[start:stop, None], zs[None, :], out=block)
+        np.square(block, out=block)
+        np.multiply(block, alpha, out=block)
+        np.exp(block, out=block)
+        block.sum(axis=1, out=potentials[start:stop])
+    return potentials
+
+
 def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.ndarray:
     """Estimate cluster centers by potential subtraction.
 
@@ -143,6 +173,11 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
     distance is computed, so `radius` is a fraction of the observed data
     span.  Returns centers in original units, in order of selection
     (strongest first).  Identical data collapses to a single center.
+
+    Takes O(n) memory and O(n^2) time: potentials are summed a block of
+    rows at a time and each revision row is computed only for the accepted
+    center, never as an n x n matrix.  The centers equal those of the dense
+    n x n formula bit for bit.
     """
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
@@ -156,14 +191,14 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
         return np.array([lo])
     zs = (xs - lo) / (hi - lo)
 
-    sq = (zs[:, None] - zs[None, :]) ** 2
-    potentials = np.exp(-4.0 / config.radius**2 * sq).sum(axis=1)
+    potentials = _potentials(zs, -4.0 / config.radius**2)
     rb = config.squash_factor * config.radius
+    beta = -4.0 / rb**2
 
     first_idx = _pick_max(potentials, zs)
     p_first = potentials[first_idx]
     centers = [first_idx]
-    potentials = potentials - p_first * np.exp(-4.0 / rb**2 * sq[first_idx])
+    potentials -= p_first * np.exp(beta * (zs[first_idx] - zs) ** 2)
 
     while True:
         idx = _pick_max(potentials, zs)
@@ -181,9 +216,8 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
             accept = dmin / config.radius + p / p_first >= 1.0
         if accept:
             centers.append(idx)
-            potentials = potentials - p * np.exp(-4.0 / rb**2 * sq[idx])
+            potentials -= p * np.exp(beta * (zs[idx] - zs) ** 2)
         else:
-            potentials = potentials.copy()
             potentials[idx] = 0.0
 
     return xs[centers]

@@ -6,10 +6,13 @@ from importlib import resources
 import pytest
 
 from lingmap import (
+    CodeList,
+    CrispLabel,
     FuzzyInferenceSystem,
     Interval,
     LinguisticVariable,
     Trapezoid,
+    evaluate,
     load_catalog,
     parse_rules,
     save_catalog,
@@ -29,6 +32,35 @@ def case1_path(tmp_path, case1_catalog):
 def case2_path(tmp_path, case2_catalog):
     path = tmp_path / "case2.json"
     save_catalog(case2_catalog, path)
+    return str(path)
+
+
+@pytest.fixture
+def coded_fis():
+    """x on [0, 10] and g with the numeric-looking codes "0" and "1"."""
+    x = LinguisticVariable("x", "ratio", Interval(0, 10), {"any": Trapezoid(0, 0, 10, 10)})
+    g = LinguisticVariable(
+        "g", "nominal", CodeList(["0", "1"]),
+        {"zero": CrispLabel(["0"]), "one": CrispLabel(["1"])},
+    )
+    y = LinguisticVariable(
+        "y", "ratio", Interval(0, 10),
+        {"low": Trapezoid(0, 0, 2, 4), "high": Trapezoid(6, 8, 10, 10)},
+    )
+    return FuzzyInferenceSystem(
+        inputs={"x": x, "g": g},
+        outputs={"y": y},
+        rules=parse_rules(
+            "if x is any and g is zero then y is low\n"
+            "if x is any and g is one then y is high"
+        ),
+    )
+
+
+@pytest.fixture
+def coded_path(tmp_path, coded_fis):
+    path = tmp_path / "coded.json"
+    save_fis(coded_fis, path)
     return str(path)
 
 
@@ -95,6 +127,20 @@ class TestEval:
         args = ["eval", "--fis", case2_path, "--in", "individualism=38,gender=female"]
         assert cli.main(args) == 2
         assert "outside the domain" in capsys.readouterr().err
+
+    def test_numeric_looking_code_selects_code(self, capsys, coded_fis, coded_path):
+        assert cli.main(["eval", "--fis", coded_path, "--in", "x=5,g=1"]) == 0
+        expected = evaluate(coded_fis, {"x": 5.0, "g": "1"})["y"]
+        assert capsys.readouterr().out == f"y = {expected:.4f}\n"
+
+    def test_code_not_in_list(self, capsys, coded_path):
+        assert cli.main(["eval", "--fis", coded_path, "--in", "x=5,g=1.0"]) == 2
+        assert "outside the domain" in capsys.readouterr().err
+
+    def test_unknown_variable_is_reported(self, capsys, case1_path):
+        args = ["eval", "--fis", case1_path, "--in", "individualism=38,bogus=1"]
+        assert cli.main(args) == 2
+        assert "'bogus' is not an input variable" in capsys.readouterr().err
 
     def test_bad_assignment_syntax(self, capsys, case1_path):
         assert cli.main(["eval", "--fis", case1_path, "--in", "individualism"]) == 2
@@ -164,6 +210,25 @@ class TestSurface:
         ]
         assert cli.main(args) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_fix_code_list_value(self, capsys, coded_fis, coded_path):
+        args = ["surface", "--fis", coded_path, "--axis", "x=0:10:2", "--fix", "g=0"]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = evaluate(coded_fis, {"x": 10.0, "g": "0"})["y"]
+        assert lines[-1] == f"10.0,{expected!r}"
+
+    def test_no_rule_fired_names_the_cell(self, capsys, case2_path):
+        args = [
+            "surface", "--fis", case2_path,
+            "--axis", "individualism=0:100:3",
+            "--axis", "gender=0:1:3",
+        ]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no rule fired" in captured.err
+        assert "individualism=0.0, gender=0.5" in captured.err
 
     def test_output_is_byte_stable(self, capsys, case2_path):
         args = [

@@ -1,6 +1,7 @@
 """Clustering, membership fitting, and end-to-end variable elicitation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from lingmap import (
     gauss2_sum,
     subtractive_clusters,
 )
-from lingmap.elicit import _seed_gauss2
+from lingmap import elicit
+from lingmap.elicit import _pick_max, _seed_gauss2
 
 sample_lists = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -89,6 +91,102 @@ class TestSubtractiveClustering:
         coarse = subtractive_clusters(two_blobs, ElicitConfig(radius=1.5))
         fine = subtractive_clusters(two_blobs, ElicitConfig(radius=0.12))
         assert len(coarse) <= len(fine)
+
+    def test_memory_is_linear_in_n(self):
+        # the n x n formulation peaks at 572 MB here
+        xs = np.random.default_rng(5000).normal(50.0, 15.0, size=5000)
+        tracemalloc.start()
+        try:
+            subtractive_clusters(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def dense_subtractive_clusters(values, config=ElicitConfig()):
+    """The n x n formulation of subtractive clustering, kept as the oracle."""
+    xs = np.sort(np.asarray(values, dtype=float).ravel())
+    lo, hi = float(xs[0]), float(xs[-1])
+    if hi == lo:
+        return np.array([lo])
+    zs = (xs - lo) / (hi - lo)
+
+    sq = (zs[:, None] - zs[None, :]) ** 2
+    potentials = np.exp(-4.0 / config.radius**2 * sq).sum(axis=1)
+    rb = config.squash_factor * config.radius
+
+    first_idx = _pick_max(potentials, zs)
+    p_first = potentials[first_idx]
+    centers = [first_idx]
+    potentials = potentials - p_first * np.exp(-4.0 / rb**2 * sq[first_idx])
+    while True:
+        idx = _pick_max(potentials, zs)
+        p = potentials[idx]
+        if p <= 0.0:
+            break
+        if p > config.accept_ratio * p_first:
+            accept = True
+        elif p < config.reject_ratio * p_first:
+            break
+        else:
+            dmin = min(abs(zs[idx] - zs[c]) for c in centers)
+            accept = dmin / config.radius + p / p_first >= 1.0
+        if accept:
+            centers.append(idx)
+            potentials = potentials - p * np.exp(-4.0 / rb**2 * sq[idx])
+        else:
+            potentials = potentials.copy()
+            potentials[idx] = 0.0
+    return xs[centers]
+
+
+class TestSubtractiveAgainstDense:
+    """Centers must equal the dense formulation's exactly, not approximately."""
+
+    def test_fixture_dataset(self, individualism_data):
+        xs = individualism_data.values
+        for radius in (0.15, 0.5, 1.0):
+            config = ElicitConfig(radius=radius)
+            got = subtractive_clusters(xs, config)
+            assert got.tolist() == dense_subtractive_clusters(xs, config).tolist()
+
+    # with the shipped block, 2**18 // n rows per block divides none of
+    # these n, so the last block is a short one
+    @pytest.mark.parametrize("n", [513, 1000, 1531])
+    def test_two_mode_samples_span_several_blocks(self, n):
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([rng.normal(30.0, 8.0, n // 2), rng.normal(70.0, 8.0, n - n // 2)])
+        assert n % (elicit._POTENTIAL_BLOCK // n) != 0
+        got = subtractive_clusters(xs)
+        assert got.tolist() == dense_subtractive_clusters(xs).tolist()
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+                min_size=1,
+                max_size=60,
+            ),
+            # few distinct values: duplicates and exact potential ties
+            st.lists(st.integers(0, 6).map(float), min_size=1, max_size=60),
+        ),
+        st.sampled_from([1, 7, 64, elicit._POTENTIAL_BLOCK]),
+        st.sampled_from([0.1, 0.5, 1.5]),
+    )
+    @example([3.0], 7, 0.5)
+    @example([0.0, 1.0], 1, 0.5)
+    @example([2.0] * 9, 7, 0.5)
+    @example([1.0, 1.0, 4.0, 4.0, 4.0, 9.0], 7, 0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, values, block, radius):
+        config = ElicitConfig(radius=radius)
+        # small blocks split even short inputs into several blocks, the
+        # last of them short, and a block below n holds a single row
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(elicit, "_POTENTIAL_BLOCK", block)
+            got = subtractive_clusters(values, config)
+        assert got.tolist() == dense_subtractive_clusters(values, config).tolist()
 
 
 class TestFcm:
