@@ -41,7 +41,7 @@ from .dataio import (
     save_fis,
 )
 from .inference import FuzzyInferenceSystem, defuzzify_coa, evaluate, firing_strengths, infer
-from .membership import CrispLabel, Gauss2, Trapezoid, eval_membership, gauss2_sum
+from .membership import CrispLabel, Gauss2, Trapezoid, gauss2_sum
 from .rules import (
     Condition,
     Diagnostic,
@@ -54,7 +54,6 @@ from .rules import (
 )
 from .variables import (
     CodeList,
-    FuzzifiedValue,
     Interval,
     LinguisticVariable,
     coverage_gaps,
@@ -77,7 +76,6 @@ __all__ = [
     "ElicitResult",
     "ElicitationError",
     "EvaluationError",
-    "FuzzifiedValue",
     "FuzzyInferenceSystem",
     "Gauss2",
     "Gauss2Fit",
@@ -98,7 +96,6 @@ __all__ = [
     "defuzzify_coa",
     "dumps_catalog",
     "elicit_variable",
-    "eval_membership",
     "evaluate",
     "fcm",
     "firing_strengths",

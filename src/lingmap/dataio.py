@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .elicit import TrainingSet
 from .errors import DatasetError, DefinitionError, SchemaError
 from .inference import FuzzyInferenceSystem
-from .membership import CrispLabel, Gauss2, Trapezoid
+from .membership import SHAPES
 from .rules import RuleSyntaxError, RuleValidationError, format_rules, parse_rules
 from .variables import VARIABLE_KINDS, CodeList, Interval, LinguisticVariable
 
@@ -52,27 +52,11 @@ def _num(value: float) -> float:
 
 
 def _mf_to_json(mf) -> dict:
-    if isinstance(mf, Trapezoid):
-        return {
-            "type": "trapezoid",
-            "a": _num(mf.a),
-            "b": _num(mf.b),
-            "c": _num(mf.c),
-            "d": _num(mf.d),
-        }
-    if isinstance(mf, Gauss2):
-        return {
-            "type": "gauss2",
-            "alpha1": _num(mf.alpha1),
-            "beta1": _num(mf.beta1),
-            "gamma1": _num(mf.gamma1),
-            "alpha2": _num(mf.alpha2),
-            "beta2": _num(mf.beta2),
-            "gamma2": _num(mf.gamma2),
-        }
-    if isinstance(mf, CrispLabel):
-        return {"type": "crisp", "levels": sorted(mf.levels)}
-    raise TypeError(f"cannot serialize membership function {mf!r}")
+    doc = {"type": mf.tag}
+    for f in fields(mf):
+        value = getattr(mf, f.name)
+        doc[f.name] = sorted(value) if f.name == "levels" else _num(value)
+    return doc
 
 
 def _variable_to_json(var: LinguisticVariable) -> dict:
@@ -141,37 +125,34 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _want_codes(node, path) -> list[str]:
+    node = _want(node, list, path, "an array")
+    return [_want_str(code, f"{path}/{i}") for i, code in enumerate(node)]
+
+
 def _mf_from_json(node, path):
     node = _want(node, dict, path, "an object")
     mtype = _want_str(_get(node, "type", path), f"{path}/type")
+    cls = SHAPES.get(mtype)
+    if cls is None:
+        raise SchemaError(
+            f"{path}/type", f"unknown membership type {mtype!r} (use one of {', '.join(SHAPES)})"
+        )
+    names = [f.name for f in fields(cls)]
+    _check_keys(node, {"type", *names}, path)
+    args = {}
+    for name in names:
+        value, at = _get(node, name, path), f"{path}/{name}"
+        if name == "levels":
+            args[name] = _want_codes(value, at)
+            if not args[name]:
+                raise SchemaError(at, "needs at least one code")
+        else:
+            args[name] = _want_number(value, at)
     try:
-        if mtype == "trapezoid":
-            _check_keys(node, {"type", "a", "b", "c", "d"}, path)
-            return Trapezoid(
-                a=_want_number(_get(node, "a", path), f"{path}/a"),
-                b=_want_number(_get(node, "b", path), f"{path}/b"),
-                c=_want_number(_get(node, "c", path), f"{path}/c"),
-                d=_want_number(_get(node, "d", path), f"{path}/d"),
-            )
-        if mtype == "gauss2":
-            names = ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2")
-            _check_keys(node, {"type", *names}, path)
-            return Gauss2(
-                **{n: _want_number(_get(node, n, path), f"{path}/{n}") for n in names}
-            )
-        if mtype == "crisp":
-            _check_keys(node, {"type", "levels"}, path)
-            levels = _want(_get(node, "levels", path), list, f"{path}/levels", "an array")
-            if not levels:
-                raise SchemaError(f"{path}/levels", "needs at least one code")
-            return CrispLabel(
-                _want_str(lv, f"{path}/levels/{i}") for i, lv in enumerate(levels)
-            )
+        return cls(**args)
     except DefinitionError as exc:
         raise SchemaError(path, str(exc)) from None
-    raise SchemaError(
-        f"{path}/type", f"unknown membership type {mtype!r} (use trapezoid, gauss2 or crisp)"
-    )
 
 
 def _check_keys(node: dict, allowed: set, path: str) -> None:
@@ -202,10 +183,7 @@ def _variable_from_json(node, path) -> LinguisticVariable:
             )
         elif isinstance(dom_node, dict):
             _check_keys(dom_node, {"codes"}, dom_path)
-            codes = _want(_get(dom_node, "codes", dom_path), list, f"{dom_path}/codes", "an array")
-            domain = CodeList(
-                _want_str(c, f"{dom_path}/codes/{i}") for i, c in enumerate(codes)
-            )
+            domain = CodeList(_want_codes(_get(dom_node, "codes", dom_path), f"{dom_path}/codes"))
         else:
             raise SchemaError(dom_path, "domain must be a [lo, hi] pair or {\"codes\": [...]}")
     except DefinitionError as exc:
@@ -262,6 +240,8 @@ def _fis_from_json(node, path, variables) -> FuzzyInferenceSystem:
 
     def name_list(key):
         raw = _want(_get(node, key, path), list, f"{path}/{key}", "an array")
+        if not raw:
+            raise SchemaError(f"{path}/{key}", "needs at least one variable")
         names = []
         for i, n in enumerate(raw):
             n = _want_str(n, f"{path}/{key}/{i}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, DefinitionError, ElicitationError
-from .membership import Gauss2, gauss2_sum
+from .membership import Gauss2
 from .variables import Interval, LinguisticVariable
 
 # A two-term Gaussian has six parameters, so fits (and therefore

@@ -61,9 +61,6 @@ class FuzzyInferenceSystem:
         """The sample grid used for aggregation over one output variable."""
         return self.outputs[name].domain.grid(self.defuzz_resolution)
 
-    def evaluate(self, values: dict) -> dict[str, float]:
-        return evaluate(self, values)
-
 
 def _fuzzify_inputs(fis: FuzzyInferenceSystem, values: dict) -> dict[str, dict]:
     missing = sorted(set(fis.inputs) - set(values))
@@ -72,7 +69,7 @@ def _fuzzify_inputs(fis: FuzzyInferenceSystem, values: dict) -> dict[str, dict]:
     unknown = sorted(set(values) - set(fis.inputs))
     if unknown:
         raise EvaluationError(f"'{unknown[0]}' is not an input variable of this system")
-    return {name: fuzzify(fis.inputs[name], values[name]).degrees for name in fis.inputs}
+    return {name: fuzzify(fis.inputs[name], values[name]) for name in fis.inputs}
 
 
 def firing_strengths(fis: FuzzyInferenceSystem, values: dict) -> list[float]:

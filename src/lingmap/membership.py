@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -15,13 +16,21 @@ def gauss2_sum(x, alpha1, beta1, gamma1, alpha2, beta2, gamma2):
 
     alpha1 * exp(-(x - beta1)^2 / gamma1^2) + alpha2 * exp(-(x - beta2)^2 / gamma2^2)
 
-    Shared by Gauss2 evaluation (which clamps the result into [0, 1]) and by
-    the least-squares fitter (which needs the raw differentiable model).
+    Gauss2 evaluation clamps this result into [0, 1].  The least-squares
+    fitter in :mod:`lingmap.elicit` does not call it: it evaluates the same
+    model together with its Jacobian in log-width parameters.
     """
     x = np.asarray(x, dtype=float)
     return alpha1 * np.exp(-((x - beta1) ** 2) / gamma1**2) + alpha2 * np.exp(
         -((x - beta2) ** 2) / gamma2**2
     )
+
+
+def _require_finite(shape) -> None:
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        if not math.isfinite(value):
+            raise DefinitionError(f"{shape.tag} parameter {f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,12 +43,14 @@ class Trapezoid:
     ever evaluated.
     """
 
+    tag: ClassVar[str] = "trapezoid"
     a: float
     b: float
     c: float
     d: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.a <= self.b <= self.c <= self.d):
             raise DefinitionError(
                 "trapezoid breakpoints must satisfy a <= b <= c <= d, got "
@@ -74,6 +85,7 @@ class Gauss2:
     gammas strictly positive.
     """
 
+    tag: ClassVar[str] = "gauss2"
     alpha1: float
     beta1: float
     gamma1: float
@@ -82,6 +94,7 @@ class Gauss2:
     gamma2: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.gamma1 > 0 and self.gamma2 > 0):
             raise DefinitionError(
                 f"gauss2 widths must be positive, got gamma1={self.gamma1}, "
@@ -103,15 +116,19 @@ class CrispLabel:
     """Exact-match membership over a finite catalog of discrete codes.
 
     Degree is 1 for codes in ``levels`` and 0 for every other code; used for
-    nominal and ordinal variables whose domain is a code list.
+    nominal and ordinal variables whose domain is a code list.  Codes are
+    text, as in :class:`lingmap.variables.CodeList`.
     """
 
+    tag: ClassVar[str] = "crisp"
     levels: frozenset
 
     def __init__(self, levels):
         object.__setattr__(self, "levels", frozenset(levels))
         if not self.levels:
             raise DefinitionError("crisp label needs at least one matching level")
+        if not all(isinstance(code, str) for code in self.levels):
+            raise DefinitionError(f"crisp label codes must be strings, got {set(self.levels)}")
 
     def __call__(self, x):
         return 1.0 if x in self.levels else 0.0
@@ -119,11 +136,5 @@ class CrispLabel:
 
 MembershipFunction = Union[Trapezoid, Gauss2, CrispLabel]
 
-
-def eval_membership(mf: MembershipFunction, x) -> float:
-    """Degree of a single domain value under a membership function.
-
-    The caller is responsible for domain checking (see
-    :func:`lingmap.variables.fuzzify`); this evaluates the bare shape.
-    """
-    return float(mf(x))
+# Catalog JSON tag -> shape class; dataio reads each shape's fields from here.
+SHAPES: dict[str, type] = {cls.tag: cls for cls in get_args(MembershipFunction)}

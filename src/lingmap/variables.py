@@ -43,7 +43,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class CodeList:
-    """Finite catalog of discrete codes for nominal and ordinal variables."""
+    """Finite catalog of text codes for nominal and ordinal variables."""
 
     codes: tuple
 
@@ -51,6 +51,8 @@ class CodeList:
         object.__setattr__(self, "codes", tuple(codes))
         if not self.codes:
             raise DefinitionError("code list must be nonempty")
+        if not all(isinstance(code, str) for code in self.codes):
+            raise DefinitionError(f"code list codes must be strings, got {list(self.codes)}")
         if len(set(self.codes)) != len(self.codes):
             raise DefinitionError("code list contains duplicates")
 
@@ -108,30 +110,16 @@ class LinguisticVariable:
                     "gauss2 shape on an interval domain"
                 )
 
-    def fuzzify(self, x) -> "FuzzifiedValue":
-        return fuzzify(self, x)
 
-
-@dataclass(frozen=True)
-class FuzzifiedValue:
-    """Per-term membership degrees of one crisp value."""
-
-    variable: str
-    degrees: Mapping[str, float] = field(hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", dict(self.degrees))
-
-
-def fuzzify(var: LinguisticVariable, x) -> FuzzifiedValue:
-    """Convert a crisp in-domain value into one degree per term.
+def fuzzify(var: LinguisticVariable, x) -> dict[str, float]:
+    """Convert a crisp in-domain value into one degree per term, keyed by term name.
 
     Raises DomainError when the value falls outside the variable's domain
     (or is not a listed code); out-of-domain inputs are never clamped.
     """
     if x not in var.domain:
         raise DomainError(var.name, var.domain, x)
-    return FuzzifiedValue(var.name, {term: float(mf(x)) for term, mf in var.terms.items()})
+    return {term: float(mf(x)) for term, mf in var.terms.items()}
 
 
 def coverage_gaps(var: LinguisticVariable, samples: int = 1001, floor: float = 0.0):

@@ -368,6 +368,15 @@ class TestValidate:
         assert cli.main(["validate", str(bad)]) == 2
         assert "/variables" in capsys.readouterr().err
 
+    def test_fis_without_inputs_is_schema_error(self, capsys, tmp_path, case1_path):
+        with open(case1_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["fis"]["inputs"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(bad)]) == 2
+        assert "/fis/inputs" in capsys.readouterr().err
+
     def test_not_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("][", encoding="utf-8")

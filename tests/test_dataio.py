@@ -1,5 +1,6 @@
 """Catalog JSON serialization, schema validation, and CSV loading."""
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -23,6 +24,8 @@ from lingmap import (
     save_catalog,
     save_fis,
 )
+from lingmap.dataio import catalog_from_doc
+from lingmap.membership import SHAPES
 
 
 def minimal_doc(**overrides):
@@ -127,14 +130,27 @@ class TestRoundTrip:
     simple_float = st.floats(
         min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
     )
+    width = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False, allow_infinity=False)
+    shapes = {
+        "trapezoid": st.lists(simple_float, min_size=4, max_size=4).map(
+            lambda abcd: Trapezoid(*sorted(abcd))
+        ),
+        "gauss2": st.builds(
+            Gauss2, simple_float, simple_float, width, simple_float, simple_float, width
+        ),
+        "crisp": st.sets(st.text(), min_size=1, max_size=5).map(CrispLabel),
+    }
 
-    @given(st.lists(simple_float, min_size=4, max_size=4).map(sorted), simple_float)
-    def test_any_trapezoid_round_trips_exactly(self, abcd, note):
-        from lingmap.dataio import catalog_from_doc
+    def test_every_shape_has_a_strategy(self):
+        assert set(self.shapes) == set(SHAPES)
 
-        var = LinguisticVariable(
-            "v", "ratio", Interval(-2e9, 2e9), {"t": Trapezoid(*abcd)}
-        )
+    @given(st.one_of(*shapes.values()), simple_float)
+    def test_any_shape_round_trips_exactly(self, mf, note):
+        if isinstance(mf, CrispLabel):
+            domain, kind = CodeList(sorted(mf.levels)), "nominal"
+        else:
+            domain, kind = Interval(-2e9, 2e9), "ratio"
+        var = LinguisticVariable("v", kind, domain, {"t": mf})
         cat = Catalog(variables={"v": var}, metadata={"note": note})
         text = dumps_catalog(cat)
         reparsed = catalog_from_doc(json.loads(text))
@@ -228,6 +244,13 @@ class TestSchemaErrors:
         doc["variables"][0]["color"] = "red"
         self.assert_path(tmp_path, doc, "/variables/0")
 
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_fis_needs_inputs_and_outputs(self, tmp_path, key):
+        doc = minimal_doc()
+        doc["fis"][key] = []
+        err = self.assert_path(tmp_path, doc, f"/fis/{key}")
+        assert err.path == f"/fis/{key}"
+
     def test_fis_unknown_variable(self, tmp_path):
         doc = minimal_doc()
         doc["fis"]["inputs"] = ["z"]
@@ -278,6 +301,19 @@ class TestJsonSchemaDocument:
         bad = minimal_doc(schema_version=99)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
+
+    def test_membership_branches_match_shape_classes(self):
+        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
+        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
+        branches = {
+            b["properties"]["type"]["const"]: (set(b["required"]), set(b["properties"]))
+            for b in schema["$defs"]["membership"]["oneOf"]
+        }
+        expected = {}
+        for tag, cls in SHAPES.items():
+            keys = {"type", *(f.name for f in dataclasses.fields(cls))}
+            expected[tag] = (keys, keys)
+        assert branches == expected
 
 
 class TestTrainingCsv:

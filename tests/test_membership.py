@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid, eval_membership, gauss2_sum
+from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid, gauss2_sum
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -127,7 +127,23 @@ class TestCrispLabel:
     def test_equality_ignores_level_order(self):
         assert CrispLabel(["a", "b"]) == CrispLabel(["b", "a"])
 
+    def test_codes_must_be_text(self):
+        # catalogs store codes as JSON strings, so an int code would save
+        # into a file that load_catalog rejects
+        with pytest.raises(DefinitionError):
+            CrispLabel([0, 1])
+        with pytest.raises(DefinitionError):
+            CrispLabel([0, "a"])
 
-def test_eval_membership_returns_float():
-    assert eval_membership(Trapezoid(0, 1, 2, 3), 1.5) == 1.0
-    assert isinstance(eval_membership(Gauss2(0.5, 0, 1, 0.5, 0, 1), 0.0), float)
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "shape, params",
+    [(Trapezoid, (0.0, 1.0, 2.0, 3.0)), (Gauss2, (0.5, 0.5, 0.2, 0.5, 0.6, 0.2))],
+)
+def test_every_parameter_must_be_finite(shape, params, bad):
+    # a NaN parameter would reach evaluate's output as NaN, and an infinite
+    # one cannot be written as JSON
+    for i in range(len(params)):
+        with pytest.raises(DefinitionError, match="finite"):
+            shape(*params[:i], bad, *params[i + 1 :])

@@ -43,6 +43,7 @@ from lingmap import (  # noqa: E402
     Trapezoid,
     elicit_variable,
     evaluate,
+    fuzzify,
     load_training_csv,
     parse_rules,
     save_catalog,
@@ -268,8 +269,8 @@ def main() -> None:
     for term, fit in zip(ind.terms, result.fits):
         print(f"  {term}: rms {fit.residual:.5f}")
 
-    deg38 = ind.fuzzify(38.0).degrees
-    deg67 = ind.fuzzify(67.0).degrees
+    deg38 = fuzzify(ind, 38.0)
+    deg67 = fuzzify(ind, 67.0)
     r38 = deg38["LC2"] / deg38["LC1"]
     r67 = deg67["LC2"] / deg67["LC1"]
     print(f"degree ratios: r(38)={r38:.6f} r(67)={r67:.6f}")
