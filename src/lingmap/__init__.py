@@ -9,7 +9,6 @@ fuzzy c-means and a two-term Gaussian fit.
 
 from .elicit import (
     ClusterModel,
-    ElicitConfig,
     ElicitResult,
     Gauss2Fit,
     TrainingSet,
@@ -31,7 +30,6 @@ from .errors import (
     SchemaError,
 )
 from .dataio import (
-    SCHEMA_VERSION,
     Catalog,
     dumps_catalog,
     load_catalog,
@@ -44,13 +42,11 @@ from .inference import FuzzyInferenceSystem, defuzzify_coa, evaluate, firing_str
 from .membership import CrispLabel, Gauss2, Trapezoid, gauss2_sum
 from .rules import (
     Condition,
-    Diagnostic,
     Rule,
     RuleBase,
     check_rules,
     format_rules,
     parse_rules,
-    validate_rules,
 )
 from .variables import (
     CodeList,
@@ -70,9 +66,7 @@ __all__ = [
     "CrispLabel",
     "DatasetError",
     "DefinitionError",
-    "Diagnostic",
     "DomainError",
-    "ElicitConfig",
     "ElicitResult",
     "ElicitationError",
     "EvaluationError",
@@ -87,7 +81,6 @@ __all__ = [
     "RuleBase",
     "RuleSyntaxError",
     "RuleValidationError",
-    "SCHEMA_VERSION",
     "SchemaError",
     "TrainingSet",
     "Trapezoid",
@@ -111,6 +104,5 @@ __all__ = [
     "save_catalog",
     "save_fis",
     "subtractive_clusters",
-    "validate_rules",
     "__version__",
 ]

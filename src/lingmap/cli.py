@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import Catalog, load_catalog, load_fis, load_training_csv, save_catalog
-from .elicit import ElicitConfig, elicit_variable
+from .elicit import elicit_variable
 from .errors import LingmapError, NoRuleFiredError
 from .inference import FuzzyInferenceSystem, evaluate
 from .variables import VARIABLE_KINDS, CodeList, Interval, coverage_gaps
@@ -136,8 +136,7 @@ def _cmd_elicit(args) -> int:
 
     data = load_training_csv(args.data)
     name = args.name or _default_variable_name(args.data)
-    config = ElicitConfig(radius=args.radius)
-    result = elicit_variable(data, name, domain, config=config, kind=args.kind)
+    result = elicit_variable(data, name, domain, radius=args.radius, kind=args.kind)
 
     print(f"observations: {len(data)}")
     print(f"clusters: {len(result.clusters.centers)}")

@@ -95,8 +95,19 @@ def dumps_catalog(catalog: Catalog) -> str:
 
 
 def save_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_catalog(catalog))
+    """Write the canonical text, which is made before the file is opened.
+
+    A catalog that has no such text, because its metadata holds a
+    non-finite float or a value JSON cannot hold, or because its text
+    cannot be encoded as UTF-8 (a lone surrogate in a name or code),
+    raises DefinitionError and leaves any file at path as it was.
+    """
+    try:
+        data = dumps_catalog(catalog).encode("utf-8")
+    except (TypeError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
+        raise DefinitionError(f"catalog cannot be saved: {exc}") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _want(node, types, path, what):

@@ -18,6 +18,29 @@ plus and minus half the cluster spread, so the fit has one well-defined
 minimum to converge to.  On the packaged individualism data a 1-ulp change
 to a membership column moves the fitted parameters by less than 1e-12
 relative (tests/test_elicit.py::TestFitStability).
+
+The only setting is the cluster radius, a fraction of the data span
+(default 0.5).  Every other constant is fixed:
+
+* SQUASH_FACTOR = 1.25: an accepted center suppresses potential within
+  1.25 radii.  Chiu (1994) suggests 1.5; 1.25 is the usual default of
+  later implementations.
+* ACCEPT_RATIO = 0.5 and REJECT_RATIO = 0.15: a candidate whose potential
+  is above half the first center's is accepted, one below 0.15 of it ends
+  the search, and one in between is judged by its distance to the
+  accepted centers (Chiu 1994).
+* FUZZIFIER = 2.0: the exponent m of fuzzy c-means, Bezdek's (1981)
+  usual choice.
+* FCM_TOL = 1e-6 and FCM_MAX_ITER = 500: c-means stops once every center
+  moves by less than FCM_TOL, or after FCM_MAX_ITER iterations.
+* FIT_MAX_ITER = 200, FIT_MIN_DROP = 1e-9 and FIT_MIN_STEP = 1e-10: the
+  Gauss-Newton fit stops after FIT_MAX_ITER steps, or once a step lowers
+  the cost by less than FIT_MIN_DROP of it or is shorter than
+  FIT_MIN_STEP.
+* RESIDUAL_CEILING = 0.15: elicitation fails if a term's fit has a larger
+  RMS residual against its membership column.
+* COVERAGE_FLOOR = 0.2: elicitation warns where no term reaches this
+  degree inside the sampled range.
 """
 
 from __future__ import annotations
@@ -34,6 +57,19 @@ from .variables import Interval, LinguisticVariable
 # A two-term Gaussian has six parameters, so fits (and therefore
 # elicitation) need at least six observations.
 MIN_OBSERVATIONS = 6
+
+# the fixed constants described in the module docstring
+SQUASH_FACTOR = 1.25
+ACCEPT_RATIO = 0.5
+REJECT_RATIO = 0.15
+FUZZIFIER = 2.0
+FCM_TOL = 1e-6
+FCM_MAX_ITER = 500
+FIT_MAX_ITER = 200
+FIT_MIN_DROP = 1e-9
+FIT_MIN_STEP = 1e-10
+RESIDUAL_CEILING = 0.15
+COVERAGE_FLOOR = 0.2
 
 # Elements (2 MB of float64) in the scratch block subtractive clustering
 # computes potentials in; a block always holds at least one whole row.
@@ -66,35 +102,6 @@ class TrainingSet:
 
     def __len__(self):
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class ElicitConfig:
-    """Tunables for the elicitation pipeline, with conventional defaults."""
-
-    radius: float = 0.5
-    squash_factor: float = 1.25
-    accept_ratio: float = 0.5
-    reject_ratio: float = 0.15
-    fuzzifier: float = 2.0
-    tol: float = 1e-6
-    max_iter: int = 500
-    residual_ceiling: float = 0.15
-    coverage_floor: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 < self.radius:
-            raise DefinitionError("radius must be positive")
-        if self.squash_factor < 1.0:
-            raise DefinitionError("squash_factor must be at least 1")
-        if not 0.0 < self.reject_ratio < self.accept_ratio <= 1.0:
-            raise DefinitionError("need 0 < reject_ratio < accept_ratio <= 1")
-        if self.fuzzifier <= 1.0:
-            raise DefinitionError("fuzzifier must exceed 1")
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise DefinitionError("tol must be positive and max_iter >= 1")
-        if self.residual_ceiling <= 0.0:
-            raise DefinitionError("residual_ceiling must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,19 +173,22 @@ def _potentials(zs: np.ndarray, alpha: float) -> np.ndarray:
     return potentials
 
 
-def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.ndarray:
+def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
     """Estimate cluster centers by potential subtraction.
 
     values are normalized to [0, 1] by their own min/max before any
     distance is computed, so `radius` is a fraction of the observed data
-    span.  Returns centers in original units, in order of selection
-    (strongest first).  Identical data collapses to a single center.
+    span; it must be positive.  Returns centers in original units, in
+    order of selection (strongest first).  Identical data collapses to a
+    single center.
 
     Takes O(n) memory and O(n^2) time: potentials are summed a block of
     rows at a time and each revision row is computed only for the accepted
     center, never as an n x n matrix.  The centers equal those of the dense
     n x n formula bit for bit.
     """
+    if not radius > 0.0:
+        raise DefinitionError(f"radius must be positive, got {radius!r}")
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
         raise DatasetError("training set is empty")
@@ -191,8 +201,8 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
         return np.array([lo])
     zs = (xs - lo) / (hi - lo)
 
-    potentials = _potentials(zs, -4.0 / config.radius**2)
-    rb = config.squash_factor * config.radius
+    potentials = _potentials(zs, -4.0 / radius**2)
+    rb = SQUASH_FACTOR * radius
     beta = -4.0 / rb**2
 
     first_idx = _pick_max(potentials, zs)
@@ -205,15 +215,15 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
         p = potentials[idx]
         if p <= 0.0:
             break
-        if p > config.accept_ratio * p_first:
+        if p > ACCEPT_RATIO * p_first:
             accept = True
-        elif p < config.reject_ratio * p_first:
+        elif p < REJECT_RATIO * p_first:
             break
         else:
             # gray zone: accept only if the candidate is far enough from
             # every existing center relative to how weak it is
             dmin = min(abs(zs[idx] - zs[c]) for c in centers)
-            accept = dmin / config.radius + p / p_first >= 1.0
+            accept = dmin / radius + p / p_first >= 1.0
         if accept:
             centers.append(idx)
             potentials -= p * np.exp(beta * (zs[idx] - zs) ** 2)
@@ -223,8 +233,8 @@ def subtractive_clusters(values, config: ElicitConfig = ElicitConfig()) -> np.nd
     return xs[centers]
 
 
-def _fcm_memberships(xs: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
-    d2 = (xs[:, None] - centers[None, :]) ** 2
+def _fcm_memberships(d2: np.ndarray) -> np.ndarray:
+    """Bezdek's memberships from the squared distances, one row per point."""
     u = np.zeros_like(d2)
     zero_rows = np.any(d2 == 0.0, axis=1)
     if np.any(zero_rows):
@@ -236,7 +246,7 @@ def _fcm_memberships(xs: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
         # smallest d2 keeps every base >= 1, so the negative power lies in
         # (0, 1] and cannot overflow however tiny the distances are; a
         # ratio that overflows to inf gets the exact limit, membership 0
-        power = 1.0 / (fuzzifier - 1.0)
+        power = 1.0 / (FUZZIFIER - 1.0)
         rows = d2[regular]
         with np.errstate(over="ignore"):
             ratio = rows / rows.min(axis=1, keepdims=True)
@@ -245,15 +255,15 @@ def _fcm_memberships(xs: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
     return u
 
 
-def fcm(values, k: int, init=None, config: ElicitConfig = ElicitConfig()) -> ClusterModel:
+def fcm(values, k: int, init=None) -> ClusterModel:
     """Fuzzy c-means on 1-D data with a deterministic start.
 
     init supplies the starting centers (e.g. from subtractive_clusters);
     when missing or shorter than k, evenly spaced quantiles of the data are
     used instead.  Iteration stops when the largest center movement drops
-    below config.tol; hitting config.max_iter first sets converged=False
-    rather than raising.  Centers come back sorted ascending with
-    membership columns permuted to match.
+    below FCM_TOL; hitting FCM_MAX_ITER first sets converged=False rather
+    than raising.  Centers come back sorted ascending with membership
+    columns permuted to match.
     """
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
@@ -273,24 +283,22 @@ def fcm(values, k: int, init=None, config: ElicitConfig = ElicitConfig()) -> Clu
         if np.unique(centers).size < k:
             centers = centers + np.arange(k) * 1e-9 * max(np.ptp(xs), 1.0)
 
-    m = config.fuzzifier
     objective_path = []
     converged = False
     iterations = 0
-    for _ in range(config.max_iter):
-        u = _fcm_memberships(xs, centers, m)
+    for _ in range(FCM_MAX_ITER):
         d2 = (xs[:, None] - centers[None, :]) ** 2
-        objective_path.append(float((u**m * d2).sum()))
-        weights = u**m
+        weights = _fcm_memberships(d2) ** FUZZIFIER
+        objective_path.append(float((weights * d2).sum()))
         new_centers = (weights * xs[:, None]).sum(axis=0) / weights.sum(axis=0)
         iterations += 1
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
-        if shift < config.tol:
+        if shift < FCM_TOL:
             converged = True
             break
 
-    u = _fcm_memberships(xs, centers, m)
+    u = _fcm_memberships((xs[:, None] - centers[None, :]) ** 2)
     order = np.argsort(centers, kind="stable")
     centers = centers[order]
     u = u[:, order]
@@ -324,21 +332,14 @@ def _gauss2_jacobian(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     return f, jac
 
 
-def fit_gauss2(
-    xs,
-    ys,
-    init: Gauss2,
-    max_iter: int = 200,
-    cost_tol: float = 1e-9,
-    step_tol: float = 1e-10,
-) -> Gauss2Fit:
+def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
     """Least-squares fit of a two-term Gaussian by damped Gauss-Newton.
 
     Widths are optimized in log space, which keeps them positive without
     constraints.  Only cost-reducing steps are ever accepted, so the result
     is never worse than init.  Convergence means the relative cost decrease
-    fell below cost_tol or the step shrank below step_tol; running out of
-    iterations or damping headroom reports converged=False instead.
+    fell below FIT_MIN_DROP or the step shrank below FIT_MIN_STEP; running
+    out of iterations or damping headroom reports converged=False instead.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -372,7 +373,7 @@ def fit_gauss2(
     lam = 1e-3
     converged = cost <= cost_floor
     iterations = 0
-    while not converged and iterations < max_iter:
+    while not converged and iterations < FIT_MAX_ITER:
         iterations += 1
         grad = jac.T @ residual
         hess = jac.T @ jac
@@ -401,8 +402,8 @@ def fit_gauss2(
         lam = max(lam / 10.0, 1e-12)
         if (
             cost <= cost_floor
-            or drop <= cost_tol * max(cost, 1e-300)
-            or float(np.linalg.norm(step)) <= step_tol
+            or drop <= FIT_MIN_DROP * max(cost, 1e-300)
+            or float(np.linalg.norm(step)) <= FIT_MIN_STEP
         ):
             converged = True
             break
@@ -419,7 +420,7 @@ def fit_gauss2(
     return Gauss2Fit(params=params, residual=rms, converged=converged, iterations=iterations)
 
 
-def _seed_gauss2(xs: np.ndarray, u_col: np.ndarray, center: float, m: float) -> Gauss2:
+def _seed_gauss2(xs: np.ndarray, u_col: np.ndarray, center: float) -> Gauss2:
     """Starting point for fitting one membership column.
 
     spread is the cluster's membership-weighted standard deviation, floored
@@ -429,7 +430,7 @@ def _seed_gauss2(xs: np.ndarray, u_col: np.ndarray, center: float, m: float) -> 
     apart, so the fit would stop on a symmetric saddle whose parameters
     depend on the BLAS build.
     """
-    w = u_col**m
+    w = u_col**FUZZIFIER
     var = float((w * (xs - center) ** 2).sum() / w.sum())
     floor = 0.01 * max(float(np.ptp(xs)), 1e-9)
     spread = max(math.sqrt(var), floor)
@@ -447,7 +448,7 @@ def elicit_variable(
     data: TrainingSet,
     name: str,
     domain: Interval,
-    config: ElicitConfig = ElicitConfig(),
+    radius: float = 0.5,
     kind: str = "interval",
 ) -> ElicitResult:
     """Derive a linguistic variable from raw samples.
@@ -459,8 +460,8 @@ def elicit_variable(
     weighted standard deviation) either side of the center, so the fitted
     parameters follow from the data rather than from one BLAS build's
     rounding, as they would from two coincident bumps.  Fails if any fit's
-    RMS exceeds config.residual_ceiling; merely thin coverage of the
-    sampled range is reported as a warning instead.
+    RMS exceeds RESIDUAL_CEILING; merely thin coverage of the sampled range
+    is reported as a warning instead.
     """
     xs = data.values
     if xs.size < MIN_OBSERVATIONS:
@@ -475,19 +476,19 @@ def elicit_variable(
             f"first is {float(outside[0])!r}"
         )
 
-    seeds = subtractive_clusters(xs, config)
-    model = fcm(xs, k=seeds.size, init=seeds, config=config)
+    seeds = subtractive_clusters(xs, radius)
+    model = fcm(xs, k=seeds.size, init=seeds)
 
     fits = []
     terms = {}
     for col, center in enumerate(model.centers):
         u_col = model.memberships[:, col]
-        init = _seed_gauss2(xs, u_col, float(center), config.fuzzifier)
+        init = _seed_gauss2(xs, u_col, float(center))
         fit = fit_gauss2(xs, u_col, init)
-        if fit.residual > config.residual_ceiling:
+        if fit.residual > RESIDUAL_CEILING:
             raise ElicitationError(
                 f"membership fit for term LC{col + 1} of '{name}' has RMS residual "
-                f"{fit.residual:.4f}, above the ceiling {config.residual_ceiling}"
+                f"{fit.residual:.4f}, above the ceiling {RESIDUAL_CEILING}"
             )
         fits.append(fit)
         terms[f"LC{col + 1}"] = fit.params
@@ -501,10 +502,10 @@ def elicit_variable(
         np.stack([np.asarray(mf(probe), dtype=float) for mf in terms.values()]), axis=0
     )
     worst = int(np.argmin(coverage))
-    if coverage[worst] < config.coverage_floor:
+    if coverage[worst] < COVERAGE_FLOOR:
         warnings.append(
             f"coverage of '{name}' dips to {coverage[worst]:.3f} near "
-            f"{probe[worst]:.4g}, below the floor {config.coverage_floor}"
+            f"{probe[worst]:.4g}, below the floor {COVERAGE_FLOOR}"
         )
 
     return ElicitResult(

@@ -16,12 +16,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import RuleSyntaxError, RuleValidationError
+from .errors import DefinitionError, RuleSyntaxError, RuleValidationError
 from .variables import LinguisticVariable
 
 KEYWORDS = ("if", "is", "and", "then")
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# an identifier or keyword, else any one character but a blank
+_TOKENS = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[^ \t]")
+_VARIABLE = "a variable name"
+_TERM = "a term name"
+# what the grammar wants after each token but a term name and the end of
+# the line; a keyword tuple is matched case-insensitively, "" is the end
+_AFTER = {("if",): _VARIABLE, ("and", "then"): _VARIABLE, _VARIABLE: ("is",), ("is",): _TERM}
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,9 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleBase:
-    """An ordered list of rules plus the source text they came from."""
+    """An ordered, nonempty list of rules."""
 
     rules: tuple[Rule, ...]
-    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.rules:
@@ -76,129 +81,52 @@ class RuleBase:
         return len(self.rules)
 
 
-class _LineScanner:
-    """Keyword/identifier scanner for a single source line."""
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line_no = line_no
-        self.pos = 0
-        self.errors: list[Diagnostic] = []
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek_word(self):
-        """Next identifier-shaped token and its column, or None."""
-        self._skip_ws()
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
+def _mismatch(word: str, want) -> str | None:
+    """Why a token cannot stand where the grammar wants `want`, or None."""
+    found = f"'{word}'" if word else "end of line"
+    if isinstance(want, tuple):
+        if word.lower() in want:
             return None
-        return m.group(0), self.pos + 1
-
-    def take_word(self):
-        word = self.peek_word()
-        if word is not None:
-            self.pos += len(word[0])
-        return word
-
-    def error(self, expected: str):
-        self._skip_ws()
-        col = self.pos + 1
-        if self.pos >= len(self.text):
-            found = "end of line"
-        else:
-            m = _TOKEN.match(self.text, self.pos)
-            found = f"'{m.group(0)}'" if m else f"'{self.text[self.pos]}'"
-        self.errors.append(Diagnostic(self.line_no, col, f"expected {expected}, got {found}"))
-
-
-def _parse_keyword(scan: _LineScanner, keyword: str) -> bool:
-    word = scan.peek_word()
-    if word is not None and word[0].lower() == keyword:
-        scan.take_word()
-        return True
-    scan.error(f"'{keyword}'")
-    return False
-
-
-def _parse_ident(scan: _LineScanner, what: str):
-    word = scan.peek_word()
-    if word is None:
-        scan.error(what)
+        want = " or ".join(f"'{k}'" for k in want) if want[0] else "end of line"
+    elif word.lower() in KEYWORDS:
+        found = f"keyword '{word}'"
+    elif word[:1].isalpha() and word.isascii():  # "é" is a one-character token
         return None
-    name, col = word
-    if name.lower() in KEYWORDS:
-        scan.errors.append(
-            Diagnostic(scan.line_no, col, f"expected {what}, got keyword '{name}'")
-        )
-        return None
-    scan.take_word()
-    return name, col
-
-
-def _parse_condition(scan: _LineScanner):
-    var = _parse_ident(scan, "a variable name")
-    if var is None:
-        return None
-    if not _parse_keyword(scan, "is"):
-        return None
-    term = _parse_ident(scan, "a term name")
-    if term is None:
-        return None
-    return Condition(var[0], term[0], scan.line_no, var[1])
+    return f"expected {want}, got {found}"
 
 
 def _parse_rule_line(text: str, line_no: int):
-    scan = _LineScanner(text, line_no)
-    if not _parse_keyword(scan, "if"):
-        return None, scan.errors
+    """The rule on one line, or None and the diagnostics rejecting it."""
+    tokens = [(m.group(), m.start() + 1) for m in _TOKENS.finditer(text)]
+    tokens.append(("", len(text) + 1))  # the end of the line
+    conds = []
+    want = ("if",)
+    for i, (word, col) in enumerate(tokens):
+        problem = _mismatch(word, want)
+        if problem:
+            return None, [Diagnostic(line_no, col, problem)]
+        if want == _TERM:
+            (lead, _), (var, var_col) = tokens[i - 3 : i - 1]
+            conds.append(Condition(var, word, line_no, var_col))
+            want = ("",) if lead.lower() == "then" else ("and", "then")
+        elif word:
+            want = _AFTER[want]
 
-    antecedents = []
-    cond = _parse_condition(scan)
-    if cond is None:
-        return None, scan.errors
-    antecedents.append(cond)
-
-    while True:
-        word = scan.peek_word()
-        if word is None or word[0].lower() not in ("and", "then"):
-            scan.error("'and' or 'then'")
-            return None, scan.errors
-        scan.take_word()
-        if word[0].lower() == "then":
-            break
-        cond = _parse_condition(scan)
-        if cond is None:
-            return None, scan.errors
-        antecedents.append(cond)
-
-    consequent = _parse_condition(scan)
-    if consequent is None:
-        return None, scan.errors
-    if not scan.at_end():
-        scan.error("end of line")
-        return None, scan.errors
-
+    *antecedents, consequent = conds
+    errors = []
     seen = set()
     for cond in antecedents:
         if cond.variable in seen:
-            scan.errors.append(
+            errors.append(
                 Diagnostic(
                     cond.line,
                     cond.col,
                     f"variable '{cond.variable}' appears twice in one rule's antecedent",
                 )
             )
-        else:
-            seen.add(cond.variable)
-    if scan.errors:
-        return None, scan.errors
+        seen.add(cond.variable)
+    if errors:
+        return None, errors
     return Rule(tuple(antecedents), consequent), []
 
 
@@ -222,7 +150,7 @@ def parse_rules(text: str) -> RuleBase:
         raise RuleSyntaxError(diagnostics)
     if not rules:
         raise RuleSyntaxError([Diagnostic(1, 1, "no rules found in input")])
-    return RuleBase(tuple(rules), source=text)
+    return RuleBase(tuple(rules))
 
 
 def format_rules(rb: RuleBase) -> str:
@@ -262,34 +190,26 @@ def _check_condition(cond, catalog, side, other_names, diagnostics):
         )
 
 
-def validate_rules(
-    rb: RuleBase,
-    inputs: dict[str, LinguisticVariable],
-    outputs: dict[str, LinguisticVariable],
-) -> list[Diagnostic]:
-    """Resolve every rule against the input/output variable catalogs.
-
-    Returns all diagnostics found (empty list means the rule base is valid):
-    unknown variables, unknown terms (listing the known ones), antecedents on
-    output variables, and consequents on input variables.
-    """
-    if not inputs or not outputs:
-        raise ValueError("variable catalogs must be nonempty")
-    diagnostics: list[Diagnostic] = []
-    for rule in rb.rules:
-        for cond in rule.antecedents:
-            _check_condition(cond, inputs, "antecedent", outputs, diagnostics)
-        _check_condition(rule.consequent, outputs, "consequent", inputs, diagnostics)
-    return diagnostics
-
-
 def check_rules(
     rb: RuleBase,
     inputs: dict[str, LinguisticVariable],
     outputs: dict[str, LinguisticVariable],
 ) -> RuleBase:
-    """Like validate_rules but raises RuleValidationError on any diagnostic."""
-    diagnostics = validate_rules(rb, inputs, outputs)
+    """Resolve every rule against the input/output variable catalogs.
+
+    Returns rb when every rule resolves.  Otherwise raises
+    RuleValidationError carrying every problem found: unknown variables,
+    unknown terms (listing the known ones), antecedents on output
+    variables, and consequents on input variables.  Empty catalogs raise
+    DefinitionError.
+    """
+    if not inputs or not outputs:
+        raise DefinitionError("an inference system needs at least one input and one output")
+    diagnostics: list[Diagnostic] = []
+    for rule in rb.rules:
+        for cond in rule.antecedents:
+            _check_condition(cond, inputs, "antecedent", outputs, diagnostics)
+        _check_condition(rule.consequent, outputs, "consequent", inputs, diagnostics)
     if diagnostics:
         raise RuleValidationError(diagnostics)
     return rb

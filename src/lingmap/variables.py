@@ -33,10 +33,6 @@ class Interval:
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
-    @property
-    def span(self) -> float:
-        return self.hi - self.lo
-
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n)
 

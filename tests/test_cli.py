@@ -348,6 +348,14 @@ class TestElicit:
         assert cli.main(args) == 2
         assert "outside the domain" in capsys.readouterr().err
 
+    def test_radius_must_be_positive(self, capsys, tmp_path, csv_path):
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", csv_path, "--domain", "0,100", "--radius", "0",
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "radius must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_ok_catalog(self, capsys, case1_path):

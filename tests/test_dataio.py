@@ -12,6 +12,7 @@ from lingmap import (
     CodeList,
     CrispLabel,
     DatasetError,
+    DefinitionError,
     Gauss2,
     Interval,
     LinguisticVariable,
@@ -88,6 +89,28 @@ class TestRoundTrip:
         assert loaded.variables == cat.variables
         assert loaded.metadata == cat.metadata
         assert loaded.fis is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # a lone surrogate has no UTF-8 encoding
+            Catalog(variables={
+                "c": LinguisticVariable(
+                    "c", "nominal", CodeList(["\ud800"]), {"t": CrispLabel(["\ud800"])}
+                ),
+            }),
+            # JSON has no NaN and no sets
+            Catalog(variables={}, metadata={"weight": float("nan")}),
+            Catalog(variables={}, metadata={"tags": {"a"}}),
+        ],
+        ids=["surrogate", "nan-metadata", "set-metadata"],
+    )
+    def test_failed_save_keeps_the_old_file(self, tmp_path, bad):
+        path = tmp_path / "cat.json"
+        path.write_text("old catalog\n", encoding="utf-8")
+        with pytest.raises(DefinitionError, match="cannot be saved"):
+            save_catalog(bad, path)
+        assert path.read_bytes() == b"old catalog\n"
 
     def test_byte_stable(self, tmp_path):
         path = write_doc(tmp_path, minimal_doc())

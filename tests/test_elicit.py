@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from lingmap import (
     DatasetError,
     DefinitionError,
-    ElicitConfig,
     ElicitationError,
     Gauss2,
     Interval,
@@ -88,9 +87,14 @@ class TestSubtractiveClustering:
         assert a.tolist() == b.tolist()
 
     def test_radius_controls_granularity(self, two_blobs):
-        coarse = subtractive_clusters(two_blobs, ElicitConfig(radius=1.5))
-        fine = subtractive_clusters(two_blobs, ElicitConfig(radius=0.12))
+        coarse = subtractive_clusters(two_blobs, radius=1.5)
+        fine = subtractive_clusters(two_blobs, radius=0.12)
         assert len(coarse) <= len(fine)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, math.nan])
+    def test_radius_must_be_positive(self, two_blobs, radius):
+        with pytest.raises(DefinitionError, match="radius must be positive"):
+            subtractive_clusters(two_blobs, radius=radius)
 
     def test_memory_is_linear_in_n(self):
         # the n x n formulation peaks at 572 MB here
@@ -104,7 +108,7 @@ class TestSubtractiveClustering:
         assert peak < 16 * 2**20
 
 
-def dense_subtractive_clusters(values, config=ElicitConfig()):
+def dense_subtractive_clusters(values, radius=0.5):
     """The n x n formulation of subtractive clustering, kept as the oracle."""
     xs = np.sort(np.asarray(values, dtype=float).ravel())
     lo, hi = float(xs[0]), float(xs[-1])
@@ -113,8 +117,8 @@ def dense_subtractive_clusters(values, config=ElicitConfig()):
     zs = (xs - lo) / (hi - lo)
 
     sq = (zs[:, None] - zs[None, :]) ** 2
-    potentials = np.exp(-4.0 / config.radius**2 * sq).sum(axis=1)
-    rb = config.squash_factor * config.radius
+    potentials = np.exp(-4.0 / radius**2 * sq).sum(axis=1)
+    rb = elicit.SQUASH_FACTOR * radius
 
     first_idx = _pick_max(potentials, zs)
     p_first = potentials[first_idx]
@@ -125,13 +129,13 @@ def dense_subtractive_clusters(values, config=ElicitConfig()):
         p = potentials[idx]
         if p <= 0.0:
             break
-        if p > config.accept_ratio * p_first:
+        if p > elicit.ACCEPT_RATIO * p_first:
             accept = True
-        elif p < config.reject_ratio * p_first:
+        elif p < elicit.REJECT_RATIO * p_first:
             break
         else:
             dmin = min(abs(zs[idx] - zs[c]) for c in centers)
-            accept = dmin / config.radius + p / p_first >= 1.0
+            accept = dmin / radius + p / p_first >= 1.0
         if accept:
             centers.append(idx)
             potentials = potentials - p * np.exp(-4.0 / rb**2 * sq[idx])
@@ -147,9 +151,8 @@ class TestSubtractiveAgainstDense:
     def test_fixture_dataset(self, individualism_data):
         xs = individualism_data.values
         for radius in (0.15, 0.5, 1.0):
-            config = ElicitConfig(radius=radius)
-            got = subtractive_clusters(xs, config)
-            assert got.tolist() == dense_subtractive_clusters(xs, config).tolist()
+            got = subtractive_clusters(xs, radius)
+            assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
 
     # with the shipped block, 2**18 // n rows per block divides none of
     # these n, so the last block is a short one
@@ -180,13 +183,12 @@ class TestSubtractiveAgainstDense:
     @example([1.0, 1.0, 4.0, 4.0, 4.0, 9.0], 7, 0.5)
     @settings(max_examples=100, deadline=None)
     def test_property(self, values, block, radius):
-        config = ElicitConfig(radius=radius)
         # small blocks split even short inputs into several blocks, the
         # last of them short, and a block below n holds a single row
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(elicit, "_POTENTIAL_BLOCK", block)
-            got = subtractive_clusters(values, config)
-        assert got.tolist() == dense_subtractive_clusters(values, config).tolist()
+            got = subtractive_clusters(values, radius)
+        assert got.tolist() == dense_subtractive_clusters(values, radius).tolist()
 
 
 class TestFcm:
@@ -207,9 +209,10 @@ class TestFcm:
         path = np.array(model.objective_path)
         assert np.all(np.diff(path) <= 1e-9)
 
-    def test_converged_flag(self, two_blobs):
+    def test_converged_flag(self, two_blobs, monkeypatch):
         assert fcm(two_blobs, k=2).converged
-        starved = fcm(two_blobs, k=2, config=ElicitConfig(max_iter=1))
+        monkeypatch.setattr(elicit, "FCM_MAX_ITER", 1)
+        starved = fcm(two_blobs, k=2)
         assert not starved.converged
         assert starved.iterations == 1
 
@@ -380,10 +383,10 @@ class TestElicitVariable:
             elicit_variable(TrainingSet(two_blobs), "x", Interval(0.0, 20.0))
         assert "outside the domain" in str(err.value)
 
-    def test_residual_ceiling_enforced(self, individualism_data):
-        tight = ElicitConfig(residual_ceiling=1e-6)
+    def test_residual_ceiling_enforced(self, individualism_data, monkeypatch):
+        monkeypatch.setattr(elicit, "RESIDUAL_CEILING", 1e-6)
         with pytest.raises(ElicitationError) as err:
-            elicit_variable(individualism_data, "x", Interval(0.0, 100.0), config=tight)
+            elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
         assert "ceiling" in str(err.value)
 
     def test_deterministic(self, individualism_data):
@@ -413,7 +416,7 @@ class TestFitStability:
         center = float(elicited.clusters.centers[col])
         base = elicited.fits[col].params
         for nudged in (np.nextafter(u_col, 2.0), np.nextafter(u_col, -1.0)):
-            init = _seed_gauss2(xs, nudged, center, ElicitConfig().fuzzifier)
+            init = _seed_gauss2(xs, nudged, center)
             fit = fit_gauss2(xs, nudged, init)
             assert fit.converged
             for f in ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2"):
@@ -425,7 +428,6 @@ class TestFitStability:
             individualism_data.values,
             elicited.clusters.memberships[:, col],
             float(elicited.clusters.centers[col]),
-            ElicitConfig().fuzzifier,
         ).gamma1
         p = elicited.fits[col].params
         assert abs(p.beta1 - p.beta2) >= 0.5 * spread
@@ -433,30 +435,3 @@ class TestFitStability:
     def test_lc1_fit_is_tight(self, elicited):
         # two near-copies of one bump (a saddle) fit LC1 only to RMS 0.059
         assert elicited.fits[0].residual < 0.03
-
-
-class TestElicitConfig:
-    def test_defaults(self):
-        cfg = ElicitConfig()
-        assert cfg.radius == 0.5
-        assert cfg.squash_factor == 1.25
-        assert cfg.accept_ratio == 0.5
-        assert cfg.reject_ratio == 0.15
-        assert cfg.fuzzifier == 2.0
-        assert cfg.tol == 1e-6
-        assert cfg.max_iter == 500
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"radius": 0.0},
-            {"squash_factor": 0.8},
-            {"accept_ratio": 0.1, "reject_ratio": 0.5},
-            {"fuzzifier": 1.0},
-            {"max_iter": 0},
-            {"residual_ceiling": 0.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DefinitionError):
-            ElicitConfig(**kwargs)

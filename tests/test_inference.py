@@ -78,6 +78,13 @@ class TestConstruction:
         with pytest.raises(DefinitionError):
             make_fis(resolution=1)
 
+    @pytest.mark.parametrize("empty", ["inputs", "outputs"])
+    def test_needs_inputs_and_outputs(self, empty):
+        fis = make_fis()
+        parts = {"inputs": fis.inputs, "outputs": fis.outputs, empty: {}}
+        with pytest.raises(DefinitionError, match="at least one input and one output"):
+            FuzzyInferenceSystem(rules=fis.rules, **parts)
+
 
 class TestFiring:
     def test_conjunction_takes_minimum(self):

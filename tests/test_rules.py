@@ -14,7 +14,6 @@ from lingmap import (
     check_rules,
     format_rules,
     parse_rules,
-    validate_rules,
 )
 
 
@@ -67,24 +66,35 @@ class TestParsing:
         assert rules[1].consequent.term == "q"
 
 
+REJECTED = {
+    # missing if
+    "temp is hot then fan is fast": (1, "expected 'if', got 'temp'"),
+    # missing is
+    "if temp hot then fan is fast": (9, "expected 'is', got 'hot'"),
+    # missing term
+    "if temp is then fan is fast": (12, "expected a term name, got keyword 'then'"),
+    # missing then
+    "if temp is hot fan is fast": (16, "expected 'and' or 'then', got 'fan'"),
+    # missing consequent term
+    "if temp is hot then fan is": (27, "expected a term name, got end of line"),
+    # trailing junk
+    "if temp is hot then fan is fast extra": (33, "expected end of line, got 'extra'"),
+    # no 'or'
+    "if temp is hot or hum is low then fan is fast": (16, "expected 'and' or 'then', got 'or'"),
+    # keywords as identifiers
+    "if then then then then": (4, "expected a variable name, got keyword 'then'"),
+    # stray symbol
+    "if a is b / c then d is e": (11, "expected 'and' or 'then', got '/'"),
+}
+
+
 class TestSyntaxErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "temp is hot then fan is fast",  # missing if
-            "if temp hot then fan is fast",  # missing is
-            "if temp is then fan is fast",  # missing term
-            "if temp is hot fan is fast",  # missing then
-            "if temp is hot then fan is",  # missing consequent term
-            "if temp is hot then fan is fast extra",  # trailing junk
-            "if temp is hot or hum is low then fan is fast",  # no 'or'
-            "if then then then then",  # keywords as identifiers
-            "if a is b / c then d is e",  # stray symbol
-        ],
-    )
+    @pytest.mark.parametrize("text", list(REJECTED))
     def test_rejected(self, text):
-        with pytest.raises(RuleSyntaxError):
+        with pytest.raises(RuleSyntaxError) as err:
             parse_rules(text)
+        col, message = REJECTED[text]
+        assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [(1, col, message)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(RuleSyntaxError):
@@ -188,38 +198,46 @@ def catalogs():
     return inputs, outputs
 
 
+def diagnostics(rb, catalogs):
+    """Every problem check_rules finds, or [] if it accepts the rules."""
+    try:
+        check_rules(rb, *catalogs)
+    except RuleValidationError as exc:
+        return exc.diagnostics
+    return []
+
+
 class TestValidation:
     def test_valid_rules_produce_no_diagnostics(self, catalogs):
         rb = parse_rules("if temp is cold then fan is slow")
-        assert validate_rules(rb, *catalogs) == []
         assert check_rules(rb, *catalogs) is rb
 
     def test_unknown_variable(self, catalogs):
         rb = parse_rules("if hum is low then fan is slow")
-        (diag,) = validate_rules(rb, *catalogs)
+        (diag,) = diagnostics(rb, catalogs)
         assert "unknown variable 'hum'" in diag.message
 
     def test_unknown_term_lists_known_ones(self, catalogs):
         rb = parse_rules("if temp is chilly then fan is slow")
-        (diag,) = validate_rules(rb, *catalogs)
+        (diag,) = diagnostics(rb, catalogs)
         assert "no term 'chilly'" in diag.message
         assert "cold" in diag.message and "hot" in diag.message
 
     def test_output_variable_in_antecedent(self, catalogs):
         rb = parse_rules("if fan is slow then fan is fast")
-        (diag,) = validate_rules(rb, *catalogs)
+        (diag,) = diagnostics(rb, catalogs)
         assert "output" in diag.message
 
     def test_input_variable_in_consequent(self, catalogs):
         rb = parse_rules("if temp is cold then temp is hot")
-        (diag,) = validate_rules(rb, *catalogs)
+        (diag,) = diagnostics(rb, catalogs)
         assert "input" in diag.message
 
     def test_all_problems_reported(self, catalogs):
         rb = parse_rules(
             "if hum is low then fan is slow\nif temp is chilly then lamp is on"
         )
-        diags = validate_rules(rb, *catalogs)
+        diags = diagnostics(rb, catalogs)
         assert len(diags) == 3
 
     def test_check_rules_raises_with_diagnostics(self, catalogs):

@@ -36,7 +36,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from lingmap import (  # noqa: E402
     Catalog,
-    ElicitConfig,
     FuzzyInferenceSystem,
     Interval,
     LinguisticVariable,
@@ -261,9 +260,7 @@ def verify(case1: FuzzyInferenceSystem, case2: FuzzyInferenceSystem) -> None:
 
 def main() -> None:
     data = load_training_csv(os.path.join(FIXTURES, "hofstede_individualism.csv"))
-    result = elicit_variable(
-        data, "individualism", Interval(0.0, 100.0), config=ElicitConfig(), kind="ordinal"
-    )
+    result = elicit_variable(data, "individualism", Interval(0.0, 100.0), kind="ordinal")
     ind = result.variable
     print(f"elicited {len(ind.terms)} terms, centers {result.clusters.centers}")
     for term, fit in zip(ind.terms, result.fits):
