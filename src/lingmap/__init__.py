@@ -36,14 +36,12 @@ from .dataio import (
     load_fis,
     load_training_csv,
     save_catalog,
-    save_fis,
 )
 from .inference import FuzzyInferenceSystem, defuzzify_coa, evaluate, firing_strengths, infer
-from .membership import CrispLabel, Gauss2, Trapezoid, gauss2_sum
+from .membership import CrispLabel, Gauss2, Trapezoid
 from .rules import (
     Condition,
     Rule,
-    RuleBase,
     check_rules,
     format_rules,
     parse_rules,
@@ -78,7 +76,6 @@ __all__ = [
     "LinguisticVariable",
     "NoRuleFiredError",
     "Rule",
-    "RuleBase",
     "RuleSyntaxError",
     "RuleValidationError",
     "SchemaError",
@@ -95,14 +92,12 @@ __all__ = [
     "fit_gauss2",
     "format_rules",
     "fuzzify",
-    "gauss2_sum",
     "infer",
     "load_catalog",
     "load_fis",
     "load_training_csv",
     "parse_rules",
     "save_catalog",
-    "save_fis",
     "subtractive_clusters",
     "__version__",
 ]

@@ -31,18 +31,28 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Catalog:
-    """An ordered collection of variables, optionally with an inference system."""
+    """An ordered collection of variables, optionally with an inference system.
 
-    variables: dict[str, LinguisticVariable]
+    Each fis input, then each output, that variables lacks is added after
+    the given ones, so Catalog(fis=fis) holds a whole system.  A given
+    variable that differs from the system's own raises DefinitionError.
+    """
+
+    variables: dict[str, LinguisticVariable] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     fis: FuzzyInferenceSystem | None = None
 
     def __post_init__(self):
+        self.variables = dict(self.variables)
         for name, var in self.variables.items():
             if name != var.name:
                 raise DefinitionError(
                     f"catalog key '{name}' does not match variable name '{var.name}'"
                 )
+        system = {} if self.fis is None else {**self.fis.inputs, **self.fis.outputs}
+        for name, var in system.items():
+            if self.variables.setdefault(name, var) != var:
+                raise DefinitionError(f"catalog variable '{name}' differs from its system's")
 
 
 def _num(value: float) -> float:
@@ -291,16 +301,6 @@ def load_catalog(path) -> Catalog:
         except json.JSONDecodeError as exc:
             raise SchemaError("/", f"not valid JSON: {exc}") from None
     return catalog_from_doc(doc)
-
-
-def save_fis(fis: FuzzyInferenceSystem, path, metadata: dict | None = None) -> None:
-    """Write an inference system as a catalog carrying all its variables."""
-    catalog = Catalog(
-        variables={**fis.inputs, **fis.outputs},
-        metadata=metadata or {},
-        fis=fis,
-    )
-    save_catalog(catalog, path)
 
 
 def load_fis(path) -> FuzzyInferenceSystem:

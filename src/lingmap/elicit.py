@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, DefinitionError, ElicitationError
-from .membership import Gauss2
+from .membership import Gauss2, _bump
 from .variables import Interval, LinguisticVariable
 
 # A two-term Gaussian has six parameters, so fits (and therefore
@@ -324,7 +324,7 @@ def _gauss2_jacobian(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
             a, b, logg = p[3 * t : 3 * t + 3]
             g = float(np.exp(logg))
             dx = xs - b
-            e = np.exp(-(dx**2) / g**2)
+            e = _bump(xs, b, g)
             f += a * e
             jac[:, 3 * t] = e
             jac[:, 3 * t + 1] = a * e * 2.0 * dx / g**2

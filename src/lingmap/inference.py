@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitionError, EvaluationError, NoRuleFiredError
-from .rules import RuleBase, check_rules
+from .rules import Rule, check_rules
 from .variables import Interval, LinguisticVariable, fuzzify
 
 
@@ -22,19 +22,22 @@ from .variables import Interval, LinguisticVariable, fuzzify
 class FuzzyInferenceSystem:
     """An immutable rule-based mapping from crisp inputs to crisp outputs.
 
-    inputs/outputs map variable names to their definitions; every rule must
-    resolve against them.  Output variables need interval domains because
-    defuzzification integrates over a numeric range.
+    inputs/outputs map variable names to their definitions; every rule of
+    the nonempty rules tuple must resolve against them.  Output variables
+    need interval domains because defuzzification integrates over a range.
     """
 
     inputs: dict[str, LinguisticVariable]
     outputs: dict[str, LinguisticVariable]
-    rules: RuleBase
+    rules: tuple[Rule, ...]
     defuzz_resolution: int = 1001
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", dict(self.inputs))
         object.__setattr__(self, "outputs", dict(self.outputs))
+        object.__setattr__(self, "rules", tuple(self.rules))
+        if not self.rules:
+            raise DefinitionError("an inference system needs at least one rule")
         if not isinstance(self.defuzz_resolution, int) or self.defuzz_resolution < 2:
             raise DefinitionError("defuzz_resolution must be an integer >= 2")
         for name, var in {**self.inputs, **self.outputs}.items():
@@ -53,9 +56,6 @@ class FuzzyInferenceSystem:
                     f"output variable '{name}' must have an interval domain"
                 )
         check_rules(self.rules, self.inputs, self.outputs)
-
-    def __hash__(self):
-        return hash((tuple(self.inputs), tuple(self.outputs), self.rules.rules))
 
     def output_grid(self, name: str) -> np.ndarray:
         """The sample grid used for aggregation over one output variable."""
@@ -120,7 +120,7 @@ def defuzzify_coa(curve: np.ndarray, domain: Interval, variable: str | None = No
         raise NoRuleFiredError(
             f"no rule fired{where}: the aggregated membership curve is zero everywhere"
         )
-    xs = np.linspace(domain.lo, domain.hi, curve.size)
+    xs = domain.grid(curve.size)
     value = float(np.dot(xs, curve) / total)
     # the exact centroid cannot leave [lo, hi]; clip ulp-level rounding spill
     return min(max(value, domain.lo), domain.hi)

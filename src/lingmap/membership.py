@@ -11,19 +11,9 @@ import numpy as np
 from .errors import DefinitionError
 
 
-def gauss2_sum(x, alpha1, beta1, gamma1, alpha2, beta2, gamma2):
-    """Unclamped sum of two Gaussian bumps.
-
-    alpha1 * exp(-(x - beta1)^2 / gamma1^2) + alpha2 * exp(-(x - beta2)^2 / gamma2^2)
-
-    Gauss2 evaluation clamps this result into [0, 1].  The least-squares
-    fitter in :mod:`lingmap.elicit` does not call it: it evaluates the same
-    model together with its Jacobian in log-width parameters.
-    """
-    x = np.asarray(x, dtype=float)
-    return alpha1 * np.exp(-((x - beta1) ** 2) / gamma1**2) + alpha2 * np.exp(
-        -((x - beta2) ** 2) / gamma2**2
-    )
+def _bump(x, b, g):
+    """exp(-(x - b)^2 / g^2), for Gauss2 and the Jacobian of its fitter."""
+    return np.exp(-((x - b) ** 2) / g**2)
 
 
 def _require_finite(shape) -> None:
@@ -82,7 +72,7 @@ class Gauss2:
     The raw sum can exceed 1 where the bumps overlap (and can go negative
     when a fitted alpha is negative), so evaluation always clamps.  The
     alphas are dimensionless; betas and gammas are in domain units, with
-    gammas strictly positive.
+    gammas positive and gamma**2 a positive finite float.
     """
 
     tag: ClassVar[str] = "gauss2"
@@ -95,15 +85,17 @@ class Gauss2:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (self.gamma1 > 0 and self.gamma2 > 0):
+        # a width squared to 0 evaluates to NaN, one that overflows raises
+        if not all(g > 0 and 0 < g * g < math.inf for g in (self.gamma1, self.gamma2)):
             raise DefinitionError(
-                f"gauss2 widths must be positive, got gamma1={self.gamma1}, "
-                f"gamma2={self.gamma2}"
+                f"gauss2 widths must be positive with a finite nonzero square, got "
+                f"gamma1={self.gamma1}, gamma2={self.gamma2}"
             )
 
     def __call__(self, x):
-        raw = gauss2_sum(
-            x, self.alpha1, self.beta1, self.gamma1, self.alpha2, self.beta2, self.gamma2
+        x = np.asarray(x, dtype=float)
+        raw = self.alpha1 * _bump(x, self.beta1, self.gamma1) + self.alpha2 * _bump(
+            x, self.beta2, self.gamma2
         )
         clipped = np.clip(raw, 0.0, 1.0)
         if np.ndim(x) == 0:

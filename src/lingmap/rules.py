@@ -61,24 +61,7 @@ class Rule:
 
     def __post_init__(self):
         if not self.antecedents:
-            raise ValueError("rule needs at least one antecedent")
-
-
-@dataclass(frozen=True)
-class RuleBase:
-    """An ordered, nonempty list of rules."""
-
-    rules: tuple[Rule, ...]
-
-    def __post_init__(self):
-        if not self.rules:
-            raise ValueError("rule base must be nonempty")
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
+            raise DefinitionError("rule needs at least one antecedent")
 
 
 def _mismatch(word: str, want) -> str | None:
@@ -130,11 +113,12 @@ def _parse_rule_line(text: str, line_no: int):
     return Rule(tuple(antecedents), consequent), []
 
 
-def parse_rules(text: str) -> RuleBase:
-    """Parse rule-language source into a RuleBase, preserving rule order.
+def parse_rules(text: str) -> tuple[Rule, ...]:
+    """Parse rule-language source into a nonempty tuple of rules, in order.
 
     Raises RuleSyntaxError carrying every diagnostic found (parsing
-    continues past a bad line so all problems are reported at once).
+    continues past a bad line so all problems are reported at once), and
+    when the text holds no rule at all.
     """
     rules = []
     diagnostics = []
@@ -150,13 +134,13 @@ def parse_rules(text: str) -> RuleBase:
         raise RuleSyntaxError(diagnostics)
     if not rules:
         raise RuleSyntaxError([Diagnostic(1, 1, "no rules found in input")])
-    return RuleBase(tuple(rules))
+    return tuple(rules)
 
 
-def format_rules(rb: RuleBase) -> str:
-    """Canonical textual form of a rule base; parses back to an equal value."""
+def format_rules(rules: tuple[Rule, ...]) -> str:
+    """Canonical textual form of rules; parses back to an equal tuple."""
     lines = []
-    for rule in rb.rules:
+    for rule in rules:
         conds = " and ".join(f"{c.variable} is {c.term}" for c in rule.antecedents)
         lines.append(f"if {conds} then {rule.consequent.variable} is {rule.consequent.term}")
     return "\n".join(lines) + "\n"
@@ -191,13 +175,13 @@ def _check_condition(cond, catalog, side, other_names, diagnostics):
 
 
 def check_rules(
-    rb: RuleBase,
+    rules: tuple[Rule, ...],
     inputs: dict[str, LinguisticVariable],
     outputs: dict[str, LinguisticVariable],
-) -> RuleBase:
+) -> tuple[Rule, ...]:
     """Resolve every rule against the input/output variable catalogs.
 
-    Returns rb when every rule resolves.  Otherwise raises
+    Returns rules when every one resolves.  Otherwise raises
     RuleValidationError carrying every problem found: unknown variables,
     unknown terms (listing the known ones), antecedents on output
     variables, and consequents on input variables.  Empty catalogs raise
@@ -206,10 +190,10 @@ def check_rules(
     if not inputs or not outputs:
         raise DefinitionError("an inference system needs at least one input and one output")
     diagnostics: list[Diagnostic] = []
-    for rule in rb.rules:
+    for rule in rules:
         for cond in rule.antecedents:
             _check_condition(cond, inputs, "antecedent", outputs, diagnostics)
         _check_condition(rule.consequent, outputs, "consequent", inputs, diagnostics)
     if diagnostics:
         raise RuleValidationError(diagnostics)
-    return rb
+    return rules

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from lingmap import (
+    Catalog,
     CodeList,
     CrispLabel,
     FuzzyInferenceSystem,
@@ -16,7 +17,6 @@ from lingmap import (
     load_catalog,
     parse_rules,
     save_catalog,
-    save_fis,
 )
 from lingmap import cli
 
@@ -60,7 +60,7 @@ def coded_fis():
 @pytest.fixture
 def coded_path(tmp_path, coded_fis):
     path = tmp_path / "coded.json"
-    save_fis(coded_fis, path)
+    save_catalog(Catalog(fis=coded_fis), path)
     return str(path)
 
 
@@ -167,7 +167,7 @@ class TestEval:
             rules=parse_rules("if x is low then y is t\nif x is low then z is t"),
         )
         path = tmp_path / "two_out.json"
-        save_fis(fis, path)
+        save_catalog(Catalog(fis=fis), path)
         assert cli.main(["eval", "--fis", str(path), "--in", "x=1"]) == 0
         out = capsys.readouterr().out
         assert "y = " in out and "z = " in out
@@ -285,7 +285,7 @@ class TestSurface:
             rules=parse_rules("if x is low then y is t\nif x is low then z is t"),
         )
         path = tmp_path / "two_out.json"
-        save_fis(fis, path)
+        save_catalog(Catalog(fis=fis), path)
         args = ["surface", "--fis", str(path), "--axis", "x=0:10:3"]
         assert cli.main(args) == 2
         assert "exactly one output" in capsys.readouterr().err
@@ -390,6 +390,20 @@ class TestValidate:
         bad.write_text("][", encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["eval", "--in", "individualism=38", "--fis"]]
+    )
+    def test_width_whose_square_overflows(self, capsys, tmp_path, case1_path, command):
+        with open(case1_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["variables"][0]["terms"][0]["mf"]["gamma1"] = 1e200
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main([*command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /variables/0/terms/0/mf: gauss2 widths")
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

@@ -23,7 +23,6 @@ from lingmap import (
     load_fis,
     load_training_csv,
     save_catalog,
-    save_fis,
 )
 from lingmap.dataio import catalog_from_doc
 from lingmap.membership import SHAPES
@@ -144,11 +143,28 @@ class TestRoundTrip:
         path = write_doc(tmp_path, minimal_doc())
         fis = load_fis(path)
         out = tmp_path / "fis.json"
-        save_fis(fis, out, metadata={"via": "save_fis"})
+        save_catalog(Catalog(metadata={"via": "save_catalog"}, fis=fis), out)
         again = load_fis(out)
-        assert again.rules.rules == fis.rules.rules
+        assert again.rules == fis.rules
         assert again.defuzz_resolution == fis.defuzz_resolution
         assert again.inputs == fis.inputs
+
+    def test_catalog_of_a_system_reloads_byte_identically(self, tmp_path, case1_catalog):
+        out = tmp_path / "case1.json"
+        save_catalog(Catalog(fis=case1_catalog.fis), out)
+        text = out.read_text(encoding="utf-8")
+        assert dumps_catalog(load_catalog(out)) == text
+        # the system's variables, inputs first, are the fixture's own
+        whole = Catalog(metadata=case1_catalog.metadata, fis=case1_catalog.fis)
+        assert dumps_catalog(whole) == dumps_catalog(case1_catalog)
+
+    def test_catalog_variable_must_match_its_system(self, case1_catalog):
+        fis = case1_catalog.fis
+        ind = fis.inputs["individualism"]
+        swapped = {"LC1": ind.terms["LC2"], "LC2": ind.terms["LC1"]}
+        other = dataclasses.replace(ind, terms=swapped)
+        with pytest.raises(DefinitionError, match="'individualism' differs"):
+            Catalog(variables={"individualism": other}, fis=fis)
 
     simple_float = st.floats(
         min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False

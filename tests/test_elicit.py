@@ -17,7 +17,6 @@ from lingmap import (
     elicit_variable,
     fcm,
     fit_gauss2,
-    gauss2_sum,
     subtractive_clusters,
 )
 from lingmap import elicit
@@ -28,6 +27,11 @@ sample_lists = st.lists(
     min_size=2,
     max_size=40,
 )
+
+
+def gauss2_sum(x, a1, b1, g1, a2, b2, g2):
+    """The unclamped two-bump sum, written out apart from lingmap's own."""
+    return a1 * np.exp(-((x - b1) ** 2) / g1**2) + a2 * np.exp(-((x - b2) ** 2) / g2**2)
 
 
 class TestTrainingSet:
@@ -366,6 +370,14 @@ class TestElicitVariable:
         for fit in result.fits:
             assert fit.converged
             assert fit.residual <= 0.15
+        assert result.warnings == ()
+
+    def test_thin_coverage_between_modes_warns(self):
+        xs = np.concatenate([np.linspace(0.0, 4.0, 30), np.linspace(96.0, 100.0, 30)])
+        result = elicit_variable(TrainingSet(xs), "x", Interval(0.0, 100.0))
+        assert result.warnings == (
+            "coverage of 'x' dips to 0.176 near 50, below the floor 0.2",
+        )
 
     def test_terms_named_in_ascending_center_order(self, two_blobs):
         result = elicit_variable(TrainingSet(two_blobs), "x", Interval(0.0, 60.0))

@@ -11,7 +11,6 @@ from lingmap import (
     Interval,
     LinguisticVariable,
     NoRuleFiredError,
-    RuleBase,
     RuleValidationError,
     Trapezoid,
     defuzzify_coa,
@@ -84,6 +83,11 @@ class TestConstruction:
         parts = {"inputs": fis.inputs, "outputs": fis.outputs, empty: {}}
         with pytest.raises(DefinitionError, match="at least one input and one output"):
             FuzzyInferenceSystem(rules=fis.rules, **parts)
+
+    def test_needs_rules(self):
+        fis = make_fis()
+        with pytest.raises(DefinitionError, match="at least one rule"):
+            FuzzyInferenceSystem(fis.inputs, fis.outputs, rules=())
 
 
 class TestFiring:
@@ -214,8 +218,7 @@ class TestEvaluate:
         assert a == b
 
     def test_rule_order_never_matters(self, case2_fis):
-        rules = list(case2_fis.rules)
-        reordered = RuleBase(tuple(rules[::-1]))
+        reordered = case2_fis.rules[::-1]
         flipped = FuzzyInferenceSystem(
             case2_fis.inputs, case2_fis.outputs, reordered, case2_fis.defuzz_resolution
         )

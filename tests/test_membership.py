@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid, gauss2_sum
+from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -81,7 +81,7 @@ class TestGauss2:
     def test_clamps_above_one(self):
         mf = Gauss2(0.9, 10.0, 4.0, 0.9, 10.5, 4.0)
         assert mf(10.2) == 1.0
-        assert gauss2_sum(10.2, 0.9, 10.0, 4.0, 0.9, 10.5, 4.0) > 1.0
+        assert 0.9 * math.exp(-(0.2**2) / 16.0) + 0.9 * math.exp(-(0.3**2) / 16.0) > 1.0
 
     def test_clamps_below_zero(self):
         mf = Gauss2(-0.5, 10.0, 4.0, 0.1, 30.0, 1.0)
@@ -147,3 +147,14 @@ def test_every_parameter_must_be_finite(shape, params, bad):
     for i in range(len(params)):
         with pytest.raises(DefinitionError, match="finite"):
             shape(*params[:i], bad, *params[i + 1 :])
+
+
+@pytest.mark.parametrize("width", [1e-200, 1e200])
+@pytest.mark.parametrize("at", [2, 5])
+def test_gauss2_width_squares_must_be_nonzero_and_finite(width, at):
+    # a zero square makes evaluation at the center 0/0 = NaN; an
+    # overflowing one raises OverflowError in evaluation
+    params = [1.0, 0.0, 1.0, 0.5, 5.0, 1.0]
+    params[at] = width
+    with pytest.raises(DefinitionError, match="finite nonzero square"):
+        Gauss2(*params)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lingmap import (
     Condition,
+    DefinitionError,
     Interval,
     LinguisticVariable,
     Rule,
@@ -135,7 +136,7 @@ class TestFormatting:
         """
         rb = parse_rules(text)
         printed = format_rules(rb)
-        assert parse_rules(printed).rules == rb.rules
+        assert parse_rules(printed) == rb
         assert format_rules(parse_rules(printed)) == printed
 
     def test_canonical_form(self):
@@ -252,5 +253,5 @@ class TestDataTypes:
         assert Condition("a", "x", 1, 4) == Condition("a", "x", 9, 2)
 
     def test_rule_needs_antecedent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DefinitionError):
             Rule((), Condition("o", "p"))

@@ -298,11 +298,11 @@ def main() -> None:
         ],
     }
     save_catalog(
-        Catalog(variables=dict(case1.inputs, **case1.outputs), metadata=meta1, fis=case1),
+        Catalog(metadata=meta1, fis=case1),
         os.path.join(FIXTURES, "case1_distance.json"),
     )
     save_catalog(
-        Catalog(variables=dict(case2.inputs, **case2.outputs), metadata=meta2, fis=case2),
+        Catalog(metadata=meta2, fis=case2),
         os.path.join(FIXTURES, "case2_distance_gender.json"),
     )
     print("wrote case1_distance.json and case2_distance_gender.json")
