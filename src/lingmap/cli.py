@@ -7,6 +7,7 @@ reproduction missed its tolerance), 2 usage, data or schema problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -30,7 +31,9 @@ _CASE_FIXTURES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="lingmap",
         description="Fuzzy linguistic variables, if-then rules, and Mamdani inference.",
@@ -204,28 +207,19 @@ def _cmd_surface(args) -> int:
         if name in fixed:
             raise LingmapError(f"'{name}' is both an axis and fixed")
 
-    lines = []
-    try:
-        if len(axes) == 1:
-            (xname, xs), = axes
-            lines.append(f"{xname},{out_name}")
-            for x in xs:
-                cell = {xname: float(x)}
-                value = evaluate(fis, {**fixed, **cell})[out_name]
-                lines.append(f"{float(x)!r},{value!r}")
-        else:
-            (rname, rows), (cname, cols) = axes
-            lines.append(f"{rname}\\{cname}," + ",".join(repr(float(c)) for c in cols))
-            for r in rows:
-                cells = [repr(float(r))]
-                for c in cols:
-                    cell = {rname: float(r), cname: float(c)}
-                    value = evaluate(fis, {**fixed, **cell})[out_name]
-                    cells.append(repr(value))
-                lines.append(",".join(cells))
-    except NoRuleFiredError as exc:
-        where = ", ".join(f"{name}={value!r}" for name, value in cell.items())
-        raise NoRuleFiredError(f"{exc}, at {where}") from None
+    if len(axes) == 1:
+        (xname, xs), = axes
+        values = evaluate(fis, {**fixed, xname: xs})[out_name]
+        lines = [f"{xname},{out_name}"]
+        lines += [f"{x!r},{v!r}" for x, v in zip(xs.tolist(), values.tolist())]
+    else:
+        (rname, rows), (cname, cols) = axes
+        grid = {rname: np.repeat(rows, cols.size), cname: np.tile(cols, rows.size)}
+        values = evaluate(fis, {**fixed, **grid})[out_name].reshape(rows.size, cols.size)
+        lines = [f"{rname}\\{cname}," + ",".join(repr(c) for c in cols.tolist())]
+        lines += [
+            ",".join(map(repr, [r] + row)) for r, row in zip(rows.tolist(), values.tolist())
+        ]
     text = "\n".join(lines) + "\n"
 
     if args.out:

@@ -459,9 +459,10 @@ def elicit_variable(
     fit starts from two equal bumps half a cluster spread (the membership-
     weighted standard deviation) either side of the center, so the fitted
     parameters follow from the data rather than from one BLAS build's
-    rounding, as they would from two coincident bumps.  Fails if any fit's
-    RMS exceeds RESIDUAL_CEILING; merely thin coverage of the sampled range
-    is reported as a warning instead.
+    rounding, as they would from two coincident bumps.  Fails if
+    subtractive clustering finds only one cluster (a smaller radius finds
+    more) or if any fit's RMS exceeds RESIDUAL_CEILING; merely thin
+    coverage of the sampled range is reported as a warning instead.
     """
     xs = data.values
     if xs.size < MIN_OBSERVATIONS:
@@ -477,6 +478,13 @@ def elicit_variable(
         )
 
     seeds = subtractive_clusters(xs, radius)
+    if seeds.size == 1:
+        # one membership column is 1 everywhere, and a two-bump fit to it
+        # flattens by growing its widths without bound
+        raise ElicitationError(
+            f"subtractive clustering found one cluster in '{name}' at radius {radius}; "
+            "a linguistic variable needs two terms or more, so try a smaller radius"
+        )
     model = fcm(xs, k=seeds.size, init=seeds)
 
     fits = []

@@ -22,7 +22,8 @@ class DomainError(LingmapError):
 
 
 class EvaluationError(LingmapError):
-    """Inference was called with missing or unknown input variables."""
+    """Inference was called with missing or unknown input variables, or with
+    inputs that are not one value or 1-D sequences of one length."""
 
 
 class NoRuleFiredError(LingmapError):

@@ -48,17 +48,14 @@ class Trapezoid:
             )
 
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        out[(arr >= self.b) & (arr <= self.c)] = 1.0
-        if self.b > self.a:
-            rising = (arr > self.a) & (arr < self.b)
-            out[rising] = (arr[rising] - self.a) / (self.b - self.a)
-        if self.d > self.c:
-            falling = (arr > self.c) & (arr < self.d)
-            out[falling] = (self.d - arr[falling]) / (self.d - self.c)
-        if np.ndim(x) == 0:
-            return float(out[0])
+        # the lesser of the rising and the falling edge, clamped into [0, 1];
+        # a vertical edge is a step, so no breakpoint is divided by zero
+        arr = np.asarray(x, dtype=float)
+        up = (arr - self.a) / (self.b - self.a) if self.b > self.a else (arr >= self.b) * 1.0
+        down = (self.d - arr) / (self.d - self.c) if self.d > self.c else (arr <= self.c) * 1.0
+        out = np.maximum(np.minimum(np.minimum(up, down), 1.0), 0.0)
+        if out.ndim == 0:
+            return float(out)
         return out
 
 
@@ -97,8 +94,8 @@ class Gauss2:
         raw = self.alpha1 * _bump(x, self.beta1, self.gamma1) + self.alpha2 * _bump(
             x, self.beta2, self.gamma2
         )
-        clipped = np.clip(raw, 0.0, 1.0)
-        if np.ndim(x) == 0:
+        clipped = np.minimum(np.maximum(raw, 0.0), 1.0)
+        if clipped.ndim == 0:
             return float(clipped)
         return clipped
 
@@ -109,7 +106,8 @@ class CrispLabel:
 
     Degree is 1 for codes in ``levels`` and 0 for every other code; used for
     nominal and ordinal variables whose domain is a code list.  Codes are
-    text, as in :class:`lingmap.variables.CodeList`.
+    text, as in :class:`lingmap.variables.CodeList`.  One code gives a
+    float, a sequence of codes an array of degrees.
     """
 
     tag: ClassVar[str] = "crisp"
@@ -123,7 +121,9 @@ class CrispLabel:
             raise DefinitionError(f"crisp label codes must be strings, got {set(self.levels)}")
 
     def __call__(self, x):
-        return 1.0 if x in self.levels else 0.0
+        if isinstance(x, str):
+            return 1.0 if x in self.levels else 0.0
+        return np.array([code in self.levels for code in x], dtype=float)
 
 
 MembershipFunction = Union[Trapezoid, Gauss2, CrispLabel]

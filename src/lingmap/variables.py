@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DefinitionError, DomainError
+from .errors import DefinitionError, DomainError, EvaluationError
 from .membership import CrispLabel, Gauss2, MembershipFunction, Trapezoid
 
 VARIABLE_KINDS = ("nominal", "ordinal", "interval", "ratio")
+
+
+@lru_cache(maxsize=64)
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    grid = np.linspace(lo, hi, n)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,8 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
     def grid(self, n: int) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, n)
+        """n evenly spaced points from lo to hi; read-only, as calls share it."""
+        return _grid(self.lo, self.hi, n)
 
 
 @dataclass(frozen=True)
@@ -107,15 +116,68 @@ class LinguisticVariable:
                 )
 
 
-def fuzzify(var: LinguisticVariable, x) -> dict[str, float]:
-    """Convert a crisp in-domain value into one degree per term, keyed by term name.
+def _single(x) -> bool:
+    """Whether x is one value (a number or a code) rather than a sequence of them."""
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0
+    return isinstance(x, str) or not hasattr(x, "__len__")
 
-    Raises DomainError when the value falls outside the variable's domain
-    (or is not a listed code); out-of-domain inputs are never clamped.
+
+def _column(var: LinguisticVariable, x):
+    """x as a 1-D column of in-domain values: floats, or codes on a code list.
+
+    Raises DomainError naming the first value outside the domain, where NaN
+    and text that is not a number are outside every interval domain.
     """
-    if x not in var.domain:
-        raise DomainError(var.name, var.domain, x)
-    return {term: float(mf(x)) for term, mf in var.terms.items()}
+    single = _single(x)
+    if isinstance(var.domain, CodeList):
+        codes = [x] if single else list(x)
+        for code in codes:
+            if code not in var.domain:
+                raise DomainError(var.name, var.domain, code)
+        return codes
+    values = [x] if single else x
+    try:
+        column = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        for value in values:
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise DomainError(var.name, var.domain, value) from None
+        raise
+    if column.ndim != 1:
+        raise EvaluationError(
+            f"values of '{var.name}' must be one number or a 1-D sequence, "
+            f"got {column.ndim} dimensions"
+        )
+    lo, hi = var.domain.lo, var.domain.hi
+    # NaN fails every comparison, so it is outside too
+    if single:
+        inside = lo <= column[0] <= hi
+    else:
+        inside = not column.size or (lo <= column.min() and column.max() <= hi)
+    if not inside:
+        first = np.flatnonzero(~((column >= lo) & (column <= hi)))[0]
+        raise DomainError(var.name, var.domain, x if single else column[first].item())
+    return column
+
+
+def fuzzify(var: LinguisticVariable, x) -> dict:
+    """Degrees of a crisp value per term, keyed by term name.
+
+    x is one value, or a 1-D sequence of values (an array of numbers, or a
+    sequence of codes on a code-list domain).  One value gives a float per
+    term, a sequence an array per term.  Either way every term is evaluated
+    on a 1-D array, so a value's degrees are the same bits alone or in a
+    batch.  Raises DomainError naming the first value outside the domain
+    (or not a listed code); out-of-domain inputs are never clamped.
+    """
+    column = _column(var, x)
+    degrees = {term: mf(column) for term, mf in var.terms.items()}
+    if _single(x):
+        return {term: float(d[0]) for term, d in degrees.items()}
+    return degrees
 
 
 def coverage_gaps(var: LinguisticVariable, samples: int = 1001, floor: float = 0.0):
@@ -130,9 +192,5 @@ def coverage_gaps(var: LinguisticVariable, samples: int = 1001, floor: float = 0
         points = list(var.domain.codes)
     else:
         points = var.domain.grid(samples)
-    gaps = []
-    for x in points:
-        best = max(float(mf(x)) for mf in var.terms.values())
-        if best <= floor:
-            gaps.append(x)
-    return gaps
+    best = np.max(list(fuzzify(var, points).values()), axis=0)
+    return [x for x, degree in zip(points, best) if degree <= floor]

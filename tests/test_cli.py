@@ -218,6 +218,26 @@ class TestSurface:
         expected = evaluate(coded_fis, {"x": 10.0, "g": "0"})["y"]
         assert lines[-1] == f"10.0,{expected!r}"
 
+    def test_cells_equal_single_evaluations(self, capsys, case2_path, case2_fis):
+        args = [
+            "surface", "--fis", case2_path,
+            "--axis", "individualism=3:97:9",
+            "--axis", "gender=0:1:4",
+        ]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        genders = [float(g) for g in lines[0].split(",")[1:]]
+        for line in lines[1:]:
+            ind, *cells = (float(v) for v in line.split(","))
+            for gender, cell in zip(genders, cells):
+                profile = {"individualism": ind, "gender": gender}
+                assert cell == evaluate(case2_fis, profile)["distance"]
+        ind, cell = float(lines[4].split(",")[0]), float(lines[4].split(",")[2])
+        assert cli.main(
+            ["eval", "--fis", case2_path, "--in", f"individualism={ind!r},gender={genders[1]!r}"]
+        ) == 0
+        assert capsys.readouterr().out == f"distance = {cell:.4f}\n"
+
     def test_no_rule_fired_names_the_cell(self, capsys, case2_path):
         args = [
             "surface", "--fis", case2_path,
@@ -418,3 +438,8 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert cli.main(["shrink"]) == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, capsys, case1_path):
+        parser = cli.build_parser()
+        assert cli.main(["eval", "--fis", case1_path, "--in", "individualism=38"]) == 0
+        assert cli.build_parser() is parser

@@ -395,6 +395,17 @@ class TestElicitVariable:
             elicit_variable(TrainingSet(two_blobs), "x", Interval(0.0, 20.0))
         assert "outside the domain" in str(err.value)
 
+    def test_one_cluster_is_an_error(self):
+        # one broad mode: at the default radius subtractive clustering keeps
+        # one center, whose two-bump fit used to spread to beta1 -98.6 and
+        # gamma1 4.1e7 on this [0, 100] domain
+        data = TrainingSet(np.random.default_rng(7).normal(50.0, 10.0, size=200))
+        with pytest.raises(ElicitationError, match="found one cluster.*smaller radius"):
+            elicit_variable(data, "x", Interval(0.0, 100.0))
+        result = elicit_variable(data, "x", Interval(0.0, 100.0), radius=0.3)
+        assert len(result.variable.terms) == 3
+        assert all(fit.converged for fit in result.fits)
+
     def test_residual_ceiling_enforced(self, individualism_data, monkeypatch):
         monkeypatch.setattr(elicit, "RESIDUAL_CEILING", 1e-6)
         with pytest.raises(ElicitationError) as err:

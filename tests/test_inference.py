@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lingmap import (
     DefinitionError,
+    DomainError,
     EvaluationError,
     FuzzyInferenceSystem,
     Interval,
@@ -226,3 +227,180 @@ class TestEvaluate:
             for g in (0.0, 0.25, 1.0):
                 x = {"individualism": c, "gender": g}
                 assert evaluate(case2_fis, x) == evaluate(flipped, x)
+
+
+def scalar_pipeline(fis, values):
+    """The per-profile pipeline the batched kernel replaced, kept as an oracle.
+
+    One profile at a time: every degree from a scalar membership call, each
+    firing rule's consequent sampled afresh and clipped, max aggregation,
+    and the centroid as a dot product.
+    """
+    degrees = {
+        name: {term: float(mf(values[name])) for term, mf in var.terms.items()}
+        for name, var in fis.inputs.items()
+    }
+    out = {}
+    for name, var in fis.outputs.items():
+        grid = np.linspace(var.domain.lo, var.domain.hi, fis.defuzz_resolution)
+        curve = np.zeros(grid.size)
+        for rule in fis.rules:
+            if rule.consequent.variable != name:
+                continue
+            strength = min(degrees[c.variable][c.term] for c in rule.antecedents)
+            if strength > 0.0:
+                clipped = np.minimum(var.terms[rule.consequent.term](grid), strength)
+                np.maximum(curve, clipped, out=curve)
+        out[name] = float(np.dot(grid, curve) / curve.sum())
+    return out
+
+
+def case2_profiles(n, seed=2):
+    rng = np.random.default_rng(seed)
+    gender = rng.uniform(0.0, 1.0, n)
+    gender[gender == 0.5] = 0.25  # both gender terms are 0 at 0.5
+    return {"individualism": rng.uniform(0.0, 100.0, n), "gender": gender}
+
+
+class TestBatchKernel:
+    def test_matches_the_scalar_pipeline(self, case1_fis, case2_fis):
+        rng = np.random.default_rng(11)
+        batches = [
+            (case1_fis, {"individualism": rng.uniform(0.0, 100.0, 300)}),
+            (case2_fis, case2_profiles(300)),
+        ]
+        for fis, batch in batches:
+            got = evaluate(fis, batch)["distance"]
+            for k, value in enumerate(got):
+                profile = {name: float(column[k]) for name, column in batch.items()}
+                assert abs(value - scalar_pipeline(fis, profile)["distance"]) <= 1e-12
+
+    def test_batch_rows_equal_single_calls(self, case2_fis):
+        # 70 profiles span three chunks of the case-2 kernel
+        batch = case2_profiles(70)
+        got = evaluate(case2_fis, batch)["distance"]
+        assert isinstance(got, np.ndarray) and got.shape == (70,)
+        for k in range(70):
+            profile = {name: float(column[k]) for name, column in batch.items()}
+            single = evaluate(case2_fis, profile)["distance"]
+            assert isinstance(single, float)
+            assert got[k] == single
+
+    def test_single_values_broadcast(self, case2_fis):
+        ind = np.linspace(0.0, 100.0, 9)
+        got = evaluate(case2_fis, {"individualism": ind, "gender": 1.0})["distance"]
+        full = evaluate(case2_fis, {"individualism": ind, "gender": np.ones(9)})["distance"]
+        assert got.tolist() == full.tolist()
+        one = evaluate(case2_fis, {"individualism": [38.0], "gender": 0.0})["distance"]
+        assert one.shape == (1,)
+        assert one[0] == evaluate(case2_fis, {"individualism": 38.0, "gender": 0.0})["distance"]
+
+    def test_firing_strengths_are_profile_major(self, case2_fis):
+        batch = case2_profiles(12)
+        rules = len(case2_fis.rules)
+        table = np.asarray(firing_strengths(case2_fis, batch)).reshape(12, rules)
+        for k in range(12):
+            profile = {name: float(column[k]) for name, column in batch.items()}
+            single = firing_strengths(case2_fis, profile)
+            assert np.shape(single) == (rules,)
+            assert table[k].tolist() == list(single)
+
+    def test_infer_gives_one_row_per_profile(self, case2_fis):
+        batch = case2_profiles(5)
+        curves = infer(case2_fis, batch)["distance"]
+        assert curves.shape == (5, case2_fis.defuzz_resolution)
+        single = infer(case2_fis, {"individualism": 20.0, "gender": 0.0})["distance"]
+        assert single.shape == (case2_fis.defuzz_resolution,)
+
+    def test_defuzzify_rows_equal_single_curves(self, case2_fis):
+        curves = infer(case2_fis, case2_profiles(6))["distance"]
+        domain = case2_fis.outputs["distance"].domain
+        got = defuzzify_coa(curves, domain)
+        assert got.tolist() == [defuzzify_coa(row, domain) for row in curves]
+
+    def test_code_list_batches(self):
+        from lingmap import CodeList, CrispLabel
+
+        x = LinguisticVariable("x", "ratio", Interval(0, 10), {"any": Trapezoid(0, 0, 10, 10)})
+        g = LinguisticVariable(
+            "g", "nominal", CodeList(["0", "1"]),
+            {"zero": CrispLabel(["0"]), "one": CrispLabel(["1"])},
+        )
+        y = LinguisticVariable(
+            "y", "ratio", Interval(0, 10),
+            {"low": Trapezoid(0, 0, 2, 4), "high": Trapezoid(6, 8, 10, 10)},
+        )
+        fis = FuzzyInferenceSystem(
+            {"x": x, "g": g}, {"y": y},
+            parse_rules("if x is any and g is zero then y is low\n"
+                        "if x is any and g is one then y is high"),
+        )
+        codes = ["1", "0", "0", "1"]
+        got = evaluate(fis, {"x": 5.0, "g": codes})["y"]
+        assert got.tolist() == [evaluate(fis, {"x": 5.0, "g": c})["y"] for c in codes]
+        assert got[0] > 5.0 > got[1]
+        fixed = evaluate(fis, {"x": [1.0, 9.0], "g": "0"})["y"]
+        assert fixed.tolist() == [evaluate(fis, {"x": v, "g": "0"})["y"] for v in (1.0, 9.0)]
+        with pytest.raises(DomainError) as err:
+            evaluate(fis, {"x": 5.0, "g": ["0", "2", "3"]})
+        assert err.value.value == "2"
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ([10.0, float("nan"), 150.0], "nan"),
+            ([10.0, 100.5, -1.0], 100.5),
+            ([10.0, "many", "x"], "many"),
+        ],
+    )
+    def test_bad_value_in_a_batch_is_named(self, case2_fis, bad, first):
+        # no rule fires for the first profile, in an earlier chunk than the
+        # bad values: a bad value still comes first
+        ind = [10.0] * 40 + bad
+        values = {"individualism": ind, "gender": [0.5] + [0.0] * (len(ind) - 1)}
+        with pytest.raises(DomainError) as err:
+            evaluate(case2_fis, values)
+        assert err.value.variable == "individualism"
+        assert str(err.value.value) == str(first)
+
+    def test_no_fire_profile_is_named(self, case2_fis):
+        ind = np.linspace(0.0, 100.0, 40)
+        gender = np.zeros(40)
+        gender[37] = 0.5
+        with pytest.raises(NoRuleFiredError) as err:
+            evaluate(case2_fis, {"individualism": ind, "gender": gender})
+        assert str(err.value).endswith(f"at individualism={float(ind[37])!r}, gender=0.5")
+        with pytest.raises(NoRuleFiredError) as err:
+            evaluate(case2_fis, {"individualism": 38.0, "gender": 0.5})
+        assert str(err.value).endswith("at individualism=38.0, gender=0.5")
+
+    def test_lengths_must_agree(self, case2_fis):
+        with pytest.raises(EvaluationError, match="one length"):
+            evaluate(case2_fis, {"individualism": [1.0, 2.0, 3.0], "gender": [0.0, 1.0]})
+        with pytest.raises(EvaluationError, match="1-D"):
+            evaluate(case2_fis, {"individualism": [[1.0, 2.0]], "gender": 0.0})
+        with pytest.raises(DomainError):
+            evaluate(case2_fis, {"individualism": [[1.0, 2.0], [3.0]], "gender": 0.0})
+
+    def test_empty_batch(self, case2_fis):
+        got = evaluate(case2_fis, {"individualism": np.empty(0), "gender": 0.0})
+        assert got["distance"].shape == (0,)
+
+    def test_consequents_sampled_once_on_first_inference(self, case2_fis, monkeypatch):
+        fis = FuzzyInferenceSystem(
+            case2_fis.inputs, case2_fis.outputs, case2_fis.rules, case2_fis.defuzz_resolution
+        )
+        calls = []
+        original = Trapezoid.__call__
+
+        def counting(mf, x):
+            calls.append(np.size(x))
+            return original(mf, x)
+
+        monkeypatch.setattr(Trapezoid, "__call__", counting)
+        assert calls == []  # nothing is sampled at construction
+        evaluate(fis, case2_profiles(3))
+        grid_calls = [n for n in calls if n == fis.defuzz_resolution]
+        assert len(grid_calls) == 3  # close, medium and far, once each
+        evaluate(fis, case2_profiles(3))
+        assert [n for n in calls if n == fis.defuzz_resolution] == grid_calls

@@ -67,6 +67,35 @@ class TestTrapezoid:
         mf = Trapezoid(*abcd)
         assert 0.0 <= mf(x) <= 1.0
 
+    def test_matches_the_masked_formula(self):
+        def masked(a, b, c, d, x):
+            """The region-by-region trapezoid the edge formula replaced."""
+            out = np.zeros_like(x)
+            out[(x >= b) & (x <= c)] = 1.0
+            if b > a:
+                rising = (x > a) & (x < b)
+                out[rising] = (x[rising] - a) / (b - a)
+            if d > c:
+                falling = (x > c) & (x < d)
+                out[falling] = (d - x[falling]) / (d - c)
+            return out
+
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            abcd = np.sort(rng.uniform(-10.0, 10.0, 4))
+            # vertical edges and coincident plateau ends
+            if rng.random() < 0.2:
+                abcd[1] = abcd[0]
+            if rng.random() < 0.2:
+                abcd[3] = abcd[2]
+            if rng.random() < 0.1:
+                abcd[2] = abcd[1]
+            xs = np.concatenate([rng.uniform(-12.0, 12.0, 200), abcd, np.nextafter(abcd, 99.0)])
+            mf = Trapezoid(*abcd.tolist())
+            got = mf(xs)
+            assert got.tolist() == masked(*abcd, xs).tolist()
+            assert [mf(float(x)) for x in xs] == got.tolist()
+
 
 class TestGauss2:
     def test_matches_scalar_formula(self):
@@ -119,6 +148,12 @@ class TestCrispLabel:
         assert mf("single") == 1.0
         assert mf("divorced") == 1.0
         assert mf("married") == 0.0
+
+    def test_sequence_of_codes(self):
+        mf = CrispLabel(["single", "divorced"])
+        out = mf(["married", "single", "divorced"])
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [0.0, 1.0, 1.0]
 
     def test_levels_must_be_nonempty(self):
         with pytest.raises(DefinitionError):

@@ -111,6 +111,16 @@ class TestFuzzify:
         assert fuzzify(score, 0.0)["low"] == 1.0
         assert fuzzify(score, 100.0)["high"] == 1.0
 
+    def test_batch_gives_one_array_per_term(self, score):
+        xs = np.array([0.0, 37.5, 50.0, 100.0])
+        degrees = fuzzify(score, xs)
+        for term, column in degrees.items():
+            assert isinstance(column, np.ndarray)
+            assert column.tolist() == [fuzzify(score, float(x))[term] for x in xs]
+        with pytest.raises(DomainError) as err:
+            fuzzify(score, [50.0, float("nan"), 200.0])
+        assert np.isnan(err.value.value)
+
     def test_code_list_fuzzify(self):
         var = LinguisticVariable(
             "marital",
