@@ -37,12 +37,11 @@ from .dataio import (
     load_training_csv,
     save_catalog,
 )
-from .inference import FuzzyInferenceSystem, defuzzify_coa, evaluate, firing_strengths, infer
+from .inference import FuzzyInferenceSystem, evaluate
 from .membership import CrispLabel, Gauss2, Trapezoid
 from .rules import (
     Condition,
     Rule,
-    check_rules,
     format_rules,
     parse_rules,
 )
@@ -50,7 +49,6 @@ from .variables import (
     CodeList,
     Interval,
     LinguisticVariable,
-    coverage_gaps,
     fuzzify,
 )
 
@@ -81,18 +79,13 @@ __all__ = [
     "SchemaError",
     "TrainingSet",
     "Trapezoid",
-    "check_rules",
-    "coverage_gaps",
-    "defuzzify_coa",
     "dumps_catalog",
     "elicit_variable",
     "evaluate",
     "fcm",
-    "firing_strengths",
     "fit_gauss2",
     "format_rules",
     "fuzzify",
-    "infer",
     "load_catalog",
     "load_fis",
     "load_training_csv",

@@ -116,8 +116,7 @@ def _parse_axis(text: str):
         raise LingmapError(f"bad axis {text!r}: expected VAR=LO:HI:STEPS") from None
     if steps < 1:
         raise LingmapError(f"bad axis {text!r}: steps must be at least 1")
-    points = np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
-    return name.strip(), points
+    return name.strip(), np.linspace(lo, hi, steps)
 
 
 def _default_variable_name(data_path: str) -> str:
@@ -206,6 +205,8 @@ def _cmd_surface(args) -> int:
     for name, _ in axes:
         if name in fixed:
             raise LingmapError(f"'{name}' is both an axis and fixed")
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        raise LingmapError(f"'{axes[0][0]}' is on both axes")
 
     if len(axes) == 1:
         (xname, xs), = axes

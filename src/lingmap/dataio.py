@@ -314,33 +314,28 @@ def load_fis(path) -> FuzzyInferenceSystem:
 def load_training_csv(path) -> TrainingSet:
     """Read observations from a CSV with header ``label,value`` or ``value``.
 
-    Labels are carried through as metadata.  Problems are reported with
-    1-based row numbers counting the header as row 1.
+    Labels are ignored.  A UTF-8 byte-order mark, as spreadsheet exports
+    write, is skipped.  Problems are reported with 1-based row numbers
+    counting the header as row 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
         cols = [h.strip().lower() for h in header]
-        if cols == ["label", "value"]:
-            has_label = True
-        elif cols == ["value"]:
-            has_label = False
-        else:
+        if cols not in (["label", "value"], ["value"]):
             raise DatasetError(
                 f"{path}: header must be 'label,value' or 'value', got {','.join(header)!r}"
             )
-        labels: list[str] = []
         values: list[float] = []
         for row_no, row in enumerate(reader, start=2):
             if not any(cell.strip() for cell in row):
                 continue
-            expected = 2 if has_label else 1
-            if len(row) != expected:
+            if len(row) != len(cols):
                 raise DatasetError(
-                    f"{path}: row {row_no}: expected {expected} column(s), got {len(row)}"
+                    f"{path}: row {row_no}: expected {len(cols)} column(s), got {len(row)}"
                 )
             raw = row[-1].strip()
             try:
@@ -352,8 +347,6 @@ def load_training_csv(path) -> TrainingSet:
             if not math.isfinite(value):
                 raise DatasetError(f"{path}: row {row_no}: non-finite value {raw!r}")
             values.append(value)
-            if has_label:
-                labels.append(row[0].strip())
     if not values:
         raise DatasetError(f"{path}: no data rows")
-    return TrainingSet(np.array(values), tuple(labels) if has_label else None)
+    return TrainingSet(np.array(values))

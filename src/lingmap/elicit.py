@@ -8,8 +8,9 @@ The pipeline has three stages:
 3. a damped Gauss-Newton fit compresses each membership column into a
    two-term Gaussian, which becomes one linguistic term.
 
-No RNG is involved anywhere, and exact potential ties in stage 1 are
-broken by value, so permuting the input cannot change the outcome.  That
+No RNG is involved anywhere, and exact potential ties in stage 1 go to
+the smallest value: stage 1 sorts the data, and ``argmax`` takes the first
+maximum.  So permuting the input cannot change the outcome.  That
 makes repeated runs bit-identical on one numpy/BLAS build; it does not
 make them bit-identical across builds, whose matrix products and solves
 round differently.  What is tested is that such rounding does not steer
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import DatasetError, DefinitionError, ElicitationError
 from .membership import Gauss2, _bump
-from .variables import Interval, LinguisticVariable
+from .variables import Interval, LinguisticVariable, _coverage
 
 # A two-term Gaussian has six parameters, so fits (and therefore
 # elicitation) need at least six observations.
@@ -78,10 +79,9 @@ _POTENTIAL_BLOCK = 2**18
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """1-D observations with optional row labels (labels are metadata only)."""
+    """1-D finite observations, read-only."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).ravel()
@@ -92,13 +92,6 @@ class TrainingSet:
             raise DatasetError(f"non-finite value at row {bad + 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise DatasetError(
-                    f"{len(labels)} labels for {arr.size} values"
-                )
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self):
         return int(self.values.size)
@@ -138,13 +131,6 @@ class ElicitResult:
     clusters: ClusterModel
     fits: tuple[Gauss2Fit, ...]
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-
-def _pick_max(potentials: np.ndarray, xs: np.ndarray) -> int:
-    """Index of the highest potential; exact ties go to the smallest value."""
-    top = potentials.max()
-    candidates = np.flatnonzero(potentials == top)
-    return int(candidates[np.argmin(xs[candidates])])
 
 
 def _potentials(zs: np.ndarray, alpha: float) -> np.ndarray:
@@ -205,13 +191,12 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
     rb = SQUASH_FACTOR * radius
     beta = -4.0 / rb**2
 
-    first_idx = _pick_max(potentials, zs)
-    p_first = potentials[first_idx]
-    centers = [first_idx]
-    potentials -= p_first * np.exp(beta * (zs[first_idx] - zs) ** 2)
-
+    # the strongest candidate passes the accept test, so it is the first center
+    p_first = potentials.max()
+    centers = []
     while True:
-        idx = _pick_max(potentials, zs)
+        # xs is sorted, so the first maximum is the smallest of tied values
+        idx = int(np.argmax(potentials))
         p = potentials[idx]
         if p <= 0.0:
             break
@@ -290,7 +275,11 @@ def fcm(values, k: int, init=None) -> ClusterModel:
         d2 = (xs[:, None] - centers[None, :]) ** 2
         weights = _fcm_memberships(d2) ** FUZZIFIER
         objective_path.append(float((weights * d2).sum()))
-        new_centers = (weights * xs[:, None]).sum(axis=0) / weights.sum(axis=0)
+        total = weights.sum(axis=0)
+        # a center whose weights all underflow to 0 stays put, not NaN
+        new_centers = np.divide(
+            (weights * xs[:, None]).sum(axis=0), total, out=centers.copy(), where=total > 0.0
+        )
         iterations += 1
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
@@ -506,9 +495,7 @@ def elicit_variable(
     warnings = []
     hull = np.linspace(float(xs.min()), float(xs.max()), 101)
     probe = np.unique(np.concatenate([hull, xs]))
-    coverage = np.max(
-        np.stack([np.asarray(mf(probe), dtype=float) for mf in terms.values()]), axis=0
-    )
+    coverage = _coverage(variable, probe)
     worst = int(np.argmin(coverage))
     if coverage[worst] < COVERAGE_FLOOR:
         warnings.append(

@@ -161,19 +161,16 @@ def infer(fis: FuzzyInferenceSystem, values: dict) -> dict[str, np.ndarray]:
 
     Each rule's consequent curve is clipped at the rule's firing strength;
     curves for the same output variable combine by pointwise max.  Returns
-    one [N, defuzz_resolution] array per output variable, or one
-    length-defuzz_resolution array when every input is one value.  A row is
-    all zeros where no rule for that output fired.
+    one [N, defuzz_resolution] array per output variable, with N = 1 when
+    every input is one value.  A row is all zeros where no rule for that
+    output fired.
     """
     strengths = np.reshape(firing_strengths(fis, values), (-1, len(fis.rules)))
     # initial=0.0 gives a zero curve for an output that no rule concludes
-    curves = {
+    return {
         name: np.minimum(table, strengths[:, positions, None]).max(axis=1, initial=0.0)
         for name, (positions, table) in fis._consequents.items()
     }
-    if all(_single(v) for v in values.values()):
-        return {name: curve[0] for name, curve in curves.items()}
-    return curves
 
 
 def defuzzify_coa(curve: np.ndarray, domain: Interval, variable: str | None = None):
@@ -246,7 +243,7 @@ def evaluate(fis: FuzzyInferenceSystem, values: dict) -> dict:
                     curve, fis.outputs[name].domain, variable=name
                 )
             except NoRuleFiredError as exc:
-                row = lo + int(np.argmax(np.atleast_2d(curve).sum(axis=-1) <= 0.0))
+                row = lo + int(np.argmax(curve.sum(axis=-1) <= 0.0))
                 raise _no_rule_fired(fis, values, row, exc) from None
     if all(_single(v) for v in values.values()):
         return {name: float(out[0]) for name, out in outputs.items()}

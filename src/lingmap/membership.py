@@ -53,10 +53,7 @@ class Trapezoid:
         arr = np.asarray(x, dtype=float)
         up = (arr - self.a) / (self.b - self.a) if self.b > self.a else (arr >= self.b) * 1.0
         down = (self.d - arr) / (self.d - self.c) if self.d > self.c else (arr <= self.c) * 1.0
-        out = np.maximum(np.minimum(np.minimum(up, down), 1.0), 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.maximum(np.minimum(np.minimum(up, down), 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,7 @@ class Gauss2:
         raw = self.alpha1 * _bump(x, self.beta1, self.gamma1) + self.alpha2 * _bump(
             x, self.beta2, self.gamma2
         )
-        clipped = np.minimum(np.maximum(raw, 0.0), 1.0)
-        if clipped.ndim == 0:
-            return float(clipped)
-        return clipped
+        return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,10 @@ def check_rules(
     rules: tuple[Rule, ...],
     inputs: dict[str, LinguisticVariable],
     outputs: dict[str, LinguisticVariable],
-) -> tuple[Rule, ...]:
+) -> None:
     """Resolve every rule against the input/output variable catalogs.
 
-    Returns rules when every one resolves.  Otherwise raises
-    RuleValidationError carrying every problem found: unknown variables,
+    Raises RuleValidationError carrying every problem found: unknown variables,
     unknown terms (listing the known ones), antecedents on output
     variables, and consequents on input variables.  Empty catalogs raise
     DefinitionError.
@@ -196,4 +195,3 @@ def check_rules(
         _check_condition(rule.consequent, outputs, "consequent", inputs, diagnostics)
     if diagnostics:
         raise RuleValidationError(diagnostics)
-    return rules

@@ -32,12 +32,6 @@ class Interval:
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.lo >= self.hi:
             raise DefinitionError(f"interval needs finite lo < hi, got [{self.lo}, {self.hi}]")
 
-    def __contains__(self, x) -> bool:
-        try:
-            return self.lo <= float(x) <= self.hi
-        except (TypeError, ValueError):
-            return False
-
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -60,9 +54,6 @@ class CodeList:
             raise DefinitionError(f"code list codes must be strings, got {list(self.codes)}")
         if len(set(self.codes)) != len(self.codes):
             raise DefinitionError("code list contains duplicates")
-
-    def __contains__(self, x) -> bool:
-        return x in self.codes
 
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.codes) + "}"
@@ -133,7 +124,7 @@ def _column(var: LinguisticVariable, x):
     if isinstance(var.domain, CodeList):
         codes = [x] if single else list(x)
         for code in codes:
-            if code not in var.domain:
+            if code not in var.domain.codes:
                 raise DomainError(var.name, var.domain, code)
         return codes
     values = [x] if single else x
@@ -180,17 +171,21 @@ def fuzzify(var: LinguisticVariable, x) -> dict:
     return degrees
 
 
-def coverage_gaps(var: LinguisticVariable, samples: int = 1001, floor: float = 0.0):
-    """Domain points where the best term degree does not exceed ``floor``.
+def _coverage(var: LinguisticVariable, points) -> np.ndarray:
+    """The best term degree at each of points, which lie in var's domain."""
+    return np.max([mf(points) for mf in var.terms.values()], axis=0)
+
+
+def coverage_gaps(var: LinguisticVariable):
+    """Domain points where no term has a positive degree.
 
     Rule bases cannot fire at uncovered points, so gaps usually indicate a
     modelling mistake.  This is a warning-level check: it reports, callers
-    decide.  Returns a list of offending domain values (sampled for interval
-    domains, exhaustive for code lists).
+    decide.  Returns a list of offending domain values (1001 evenly spaced
+    samples of an interval domain, every code of a code list).
     """
     if isinstance(var.domain, CodeList):
         points = list(var.domain.codes)
     else:
-        points = var.domain.grid(samples)
-    best = np.max(list(fuzzify(var, points).values()), axis=0)
-    return [x for x, degree in zip(points, best) if degree <= floor]
+        points = var.domain.grid(1001)
+    return [x for x, degree in zip(points, _coverage(var, points)) if degree <= 0.0]

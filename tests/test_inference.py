@@ -14,12 +14,10 @@ from lingmap import (
     NoRuleFiredError,
     RuleValidationError,
     Trapezoid,
-    defuzzify_coa,
     evaluate,
-    firing_strengths,
-    infer,
     parse_rules,
 )
+from lingmap.inference import defuzzify_coa, firing_strengths, infer
 
 
 def make_fis(resolution=1001):
@@ -130,13 +128,13 @@ class TestAggregation:
         grid = fis.output_grid("fan")
         slow = np.minimum(fis.outputs["fan"].terms["slow"](grid), 0.25)
         fast = np.minimum(fis.outputs["fan"].terms["fast"](grid), 0.25)
-        np.testing.assert_array_equal(curves["fan"], np.maximum(slow, fast))
+        np.testing.assert_array_equal(curves["fan"], [np.maximum(slow, fast)])
 
     def test_zero_strength_rule_leaves_no_trace(self):
         fis = make_fis()
         curves = infer(fis, {"temp": 5.0, "hum": 0.0})
         grid = fis.output_grid("fan")
-        assert curves["fan"][grid >= 6.0].max() == 0.0
+        assert curves["fan"][:, grid >= 6.0].max() == 0.0
 
 
 class TestDefuzzify:
@@ -310,7 +308,7 @@ class TestBatchKernel:
         curves = infer(case2_fis, batch)["distance"]
         assert curves.shape == (5, case2_fis.defuzz_resolution)
         single = infer(case2_fis, {"individualism": 20.0, "gender": 0.0})["distance"]
-        assert single.shape == (case2_fis.defuzz_resolution,)
+        assert single.shape == (1, case2_fis.defuzz_resolution)
 
     def test_defuzzify_rows_equal_single_curves(self, case2_fis):
         curves = infer(case2_fis, case2_profiles(6))["distance"]
