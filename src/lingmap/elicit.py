@@ -9,16 +9,31 @@ The pipeline has three stages:
    two-term Gaussian, which becomes one linguistic term.
 
 No RNG is involved anywhere, and exact potential ties in stage 1 go to
-the smallest value: stage 1 sorts the data, and ``argmax`` takes the first
-maximum.  So permuting the input cannot change the outcome.  That
-makes repeated runs bit-identical on one numpy/BLAS build; it does not
-make them bit-identical across builds, whose matrix products and solves
-round differently.  What is tested is that such rounding does not steer
-the result: stage 3 seeds the two bumps of each term apart, at the center
-plus and minus half the cluster spread, so the fit has one well-defined
-minimum to converge to.  On the packaged individualism data a 1-ulp change
-to a membership column moves the fitted parameters by less than 1e-12
-relative (tests/test_elicit.py::TestFitStability).
+the smallest value: stage 1 sorts the data, and of tied values the first
+is taken.  So permuting the input cannot change the outcome.  That makes
+repeated runs bit-identical on one numpy build running on one BLAS kernel;
+it does not make them bit-identical across builds, or across the kernels
+one OpenBLAS build picks from by CPU (``OPENBLAS_CORETYPE`` changes the
+bytes), whose matrix products and solves round differently.  Stage 1 is
+not affected: it decides only on potentials computed without BLAS, so its
+centers are the same bits on every BLAS.  What is tested for stages 2 and
+3 is that such rounding does not steer the result: stage 3 seeds the two
+bumps of each term apart, at the center plus and minus half the cluster
+spread, so the fit has one well-defined minimum to converge to.  On the
+packaged individualism data a 1-ulp change to a membership column moves
+the fitted parameters by less than 1e-12 relative
+(tests/test_elicit.py::TestFitStability).
+
+Stage 1 takes O(n) memory for any radius, and O(n log n + n *
+HERMITE_TERMS) time plus O(n) for each value recomputed exactly; the
+n x n formulation (Chiu 1994) takes O(n^2) of both.  A fast Gauss
+transform (Greengard & Strain 1991) approximates every potential with a
+proven error bound, and each decision is taken on potentials recomputed
+exactly as the n x n formulation computes them, for the values the bound
+cannot tell from the strongest.  So the centers equal that formulation's
+bit for bit.  Those values are a handful on most data, but most of the
+values of evenly spaced data at small radii, whose potentials tie to
+within rounding.
 
 The only setting is the cluster radius, a fraction of the data span
 (default 0.5).  Every other constant is fixed:
@@ -30,6 +45,12 @@ The only setting is the cluster radius, a fraction of the data span
   is above half the first center's is accepted, one below 0.15 of it ends
   the search, and one in between is judged by its distance to the
   accepted centers (Chiu 1994).
+* HERMITE_TERMS = 24 and BOX_REACH = 7: the Gauss transform splits the
+  normalized data into boxes one kernel width (radius / 2) wide, sums a
+  24-term Hermite expansion per box, and translates it to the boxes at
+  most 7 boxes away.  The truncation error is below 4e-14 per sample and
+  a skipped farther box adds below exp(-49) per sample, both well under
+  the rounding allowance of the bound.
 * FUZZIFIER = 2.0: the exponent m of fuzzy c-means, Bezdek's (1981)
   usual choice.
 * FCM_TOL = 1e-6 and FCM_MAX_ITER = 500: c-means stops once every center
@@ -46,6 +67,7 @@ The only setting is the cluster radius, a fraction of the data span
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,6 +85,8 @@ MIN_OBSERVATIONS = 6
 SQUASH_FACTOR = 1.25
 ACCEPT_RATIO = 0.5
 REJECT_RATIO = 0.15
+HERMITE_TERMS = 24
+BOX_REACH = 7
 FUZZIFIER = 2.0
 FCM_TOL = 1e-6
 FCM_MAX_ITER = 500
@@ -72,9 +96,8 @@ FIT_MIN_STEP = 1e-10
 RESIDUAL_CEILING = 0.15
 COVERAGE_FLOOR = 0.2
 
-# Elements (2 MB of float64) in the scratch block subtractive clustering
-# computes potentials in; a block always holds at least one whole row.
-_POTENTIAL_BLOCK = 2**18
+# float64's unit roundoff, in the rounding allowances of the potential bound
+_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -133,30 +156,141 @@ class ElicitResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _potentials(zs: np.ndarray, alpha: float) -> np.ndarray:
-    """sum_j exp(alpha * (zs[i] - zs[j])**2) for every i, in O(n) memory.
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal values in the sorted array a."""
+    first = np.empty(a.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return starts, np.append(starts[1:], a.size) - starts
 
-    Rows are computed a block at a time in one scratch buffer.  Each
-    potential is still the sum of one whole contiguous row, reduced in the
-    same order as a row of the n x n matrix would be, so the result equals
-    the dense formula bit for bit.
+
+def _gamma(k: int) -> float:
+    """Relative error bound of a result rounded k times in a row (Higham's gamma_k)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+@functools.cache
+def _hermite_bounds() -> tuple[float, float]:
+    """Per-sample bounds of the expansion in _potentials: its truncation, and its terms.
+
+    With source and target within half a box of their box centers (|s|,
+    |t| <= 1/2), one source contributes the terms s^n t^m / (n! m!) *
+    (-1)^m h_{n+m}(D), and Cramer's inequality |h_k(x)| <= 1.09 * 2^(k/2)
+    * sqrt(k!) bounds each by 1.09 * 2^(-k/2) * C(k, n) / sqrt(k!), with
+    k = n + m.  Returns the sum of those bounds over the terms dropped (n
+    or m >= HERMITE_TERMS) and over the terms kept.  Orders k past the
+    last one summed add below 1e-50.
     """
-    n = zs.size
-    rows = max(1, _POTENTIAL_BLOCK // n)
-    # one buffer per call: fresh per-block temporaries of this size are
-    # mapped and unmapped by the allocator on every block, which made the
-    # blocked loop slower than the dense formula
-    buf = np.empty((min(rows, n), n))
-    potentials = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buf[: stop - start]
-        np.subtract(zs[start:stop, None], zs[None, :], out=block)
-        np.square(block, out=block)
-        np.multiply(block, alpha, out=block)
-        np.exp(block, out=block)
-        block.sum(axis=1, out=potentials[start:stop])
-    return potentials
+    dropped = kept = 0.0
+    for k in range(2 * HERMITE_TERMS + 40):
+        scale = 1.09 * 2.0 ** (-k / 2) / math.sqrt(math.factorial(k))
+        lo, hi = max(0, k - HERMITE_TERMS + 1), min(k, HERMITE_TERMS - 1)
+        inside = sum(math.comb(k, n) for n in range(lo, hi + 1))
+        kept += scale * inside
+        dropped += scale * (2**k - inside)
+    return dropped, kept
+
+
+@functools.cache
+def _hermite_to_taylor() -> np.ndarray:
+    """T[BOX_REACH + d][n, m] = (-1)^m h_{n+m}(d) / (n! m!) for box offsets |d| <= BOX_REACH.
+
+    h_k(x) = H_k(x) exp(-x^2) is the Hermite function of the physicists'
+    polynomial H_k.  Boxes are one unit wide, so d is an integer and so is
+    H_k(d), computed exactly; an entry is rounded at most 10 times.  T
+    turns the Hermite moments of a source box into the Taylor coefficients
+    of its contribution about the center of the target box d boxes away.
+    """
+    order = np.arange(HERMITE_TERMS)
+    inv_fact = np.array([1.0 / math.factorial(k) for k in order])
+    scale = inv_fact[:, None] * (inv_fact * (-1.0) ** order)[None, :]
+    index = order[:, None] + order[None, :]
+    table = np.empty((2 * BOX_REACH + 1, HERMITE_TERMS, HERMITE_TERMS))
+    for d in range(-BOX_REACH, BOX_REACH + 1):
+        hermite = [1, 2 * d]
+        for k in range(1, 2 * HERMITE_TERMS - 2):
+            hermite.append(2 * d * hermite[k] - 2 * k * hermite[k - 1])
+        h = np.array([float(v) for v in hermite]) * math.exp(-d * d)
+        table[BOX_REACH + d] = h[index] * scale
+    table.setflags(write=False)
+    return table
+
+
+# boxes whose neighbours' moments _potentials gathers at once: at most
+# 4096 * 15 * 24 floats, 12 MB
+_GATHER = 4096
+
+
+def _potentials(uz: np.ndarray, counts: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """Approximate potentials of the distinct sorted values uz in [0, 1], and their error bound.
+
+    The potential of uz[i] is sum_j counts[j] * exp(-((uz[i] - uz[j]) / h)^2),
+    a Gauss transform, approximated here as Greengard & Strain (1991) do:
+    in units of h, the data fall into boxes one unit wide; each box sums
+    the first HERMITE_TERMS Hermite moments of its values about its center,
+    and those turn, through _hermite_to_taylor(), into a Taylor polynomial
+    about each box within BOX_REACH boxes.  That costs O(n * HERMITE_TERMS)
+    time and memory, plus O((2 * BOX_REACH + 1) * HERMITE_TERMS^2) time
+    per occupied box.
+
+    The returned bound holds for every i against the potential as numpy
+    sums it in the dense formula, np.exp(alpha * np.square(z - zs)).sum()
+    with alpha = -4 / radius^2, over all n samples.  It adds, per sample:
+    the truncation, the boxes left out, the rounding of each position in
+    units of h (at most u / h, u = 2^-53), and numpy's rounding of one
+    dense term (its exp taken as within 4 ulp); then the rounding of the
+    expansion, at most _gamma(chain) of the sum of its terms' sizes in any
+    order of summation, and of numpy's pairwise sum of the dense row, which
+    rounds no term more than ceil(log2 n) + 26 times.  Past 2^50 boxes,
+    where box offsets are no longer exact, the bound is inf.
+    """
+    x = uz / h
+    box = np.floor(x)
+    offset = x - (box + 0.5)
+    # counts * offset^k, one row per power k, doubling the rows known:
+    # row k is still rounded at most k times
+    powers = np.empty((HERMITE_TERMS, uz.size))
+    powers[0] = counts
+    np.multiply(counts, offset, out=powers[1])
+    known, factor = 2, offset * offset
+    while known < HERMITE_TERMS:
+        more = min(known, HERMITE_TERMS - known)
+        np.multiply(powers[:more], factor, out=powers[known : known + more])
+        known, factor = known + more, factor * factor
+    starts, sizes = _runs(box)
+    ids = box[starts]
+    moments = np.add.reduceat(powers, starts, axis=1).T
+    # a box's Taylor coefficients are one product of the moments of the
+    # boxes at offsets -reach..reach (a row of zeros where none is) with
+    # the stacked tables; _GATHER boxes at a time bound the memory
+    reach = int(min(BOX_REACH, ids[-1] - ids[0]))
+    shifts = np.arange(-reach, reach + 1)
+    table = _hermite_to_taylor()[BOX_REACH - reach : BOX_REACH + reach + 1].reshape(-1, HERMITE_TERMS)
+    padded = np.concatenate((moments, np.zeros((1, HERMITE_TERMS))))
+    taylor = np.empty_like(moments)
+    for lo in range(0, ids.size, _GATHER):
+        source = ids[lo : lo + _GATHER, None] - shifts
+        at = np.minimum(np.searchsorted(ids, source), ids.size - 1)
+        at[ids[at] != source] = ids.size
+        taylor[lo : lo + _GATHER] = padded[at].reshape(len(source), -1) @ table
+    approx = np.einsum("ij,ji->i", np.repeat(taylor, sizes, axis=0), powers) / counts
+
+    n = float(counts.sum())
+    widest = int(sizes.max())
+    # roundings in a row: the moment sums, the powers, a table entry, the
+    # product over every neighbour's moments, and the polynomial's value
+    chain = widest + 10 + (2 * BOX_REACH + 4) * HERMITE_TERMS + 1
+    truncation, term_size = _hermite_bounds()
+    # per sample: the truncation, the farther boxes, two positions off by
+    # u / h each on a kernel of slope below 1, and a dense term's rounding,
+    # below 12 u (or 2^-1020 where its exp is subnormal)
+    per_sample = truncation + math.exp(-(BOX_REACH**2)) + _UNIT * (2.0 / h + 16.0) + 2.0**-1020
+    bound = n * per_sample + n * term_size * _gamma(chain)
+    bound += 1.01 * n * _gamma(math.ceil(math.log2(n)) + 26)
+    if not x[-1] < 2.0**50:
+        bound = math.inf
+    return approx, bound
 
 
 def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
@@ -164,14 +298,17 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
 
     values are normalized to [0, 1] by their own min/max before any
     distance is computed, so `radius` is a fraction of the observed data
-    span; it must be positive.  Returns centers in original units, in
-    order of selection (strongest first).  Identical data collapses to a
-    single center.
+    span; it must be positive, and the span finite.  Returns centers in
+    original units, in order of selection (strongest first).  Identical
+    data collapses to a single center.
 
-    Takes O(n) memory and O(n^2) time: potentials are summed a block of
-    rows at a time and each revision row is computed only for the accepted
-    center, never as an n x n matrix.  The centers equal those of the dense
-    n x n formula bit for bit.
+    Takes O(n) memory and O(n log n + n * HERMITE_TERMS) time, plus O(n)
+    for each distinct value whose potential has to be recomputed exactly:
+    a handful on most data, but most values of evenly spaced data at small
+    radii, whose potentials tie to within rounding.  The centers equal
+    those of the dense n x n formula bit for bit: every choice is made on
+    potentials that formula would compute, and the approximate potentials
+    only rule out values that their error bound keeps from being chosen.
     """
     if not radius > 0.0:
         raise DefinitionError(f"radius must be positive, got {radius!r}")
@@ -183,21 +320,68 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
     # the caller happened to arrange the data
     xs = np.sort(xs)
     lo, hi = float(xs[0]), float(xs[-1])
+    if not math.isfinite(hi - lo):
+        raise DatasetError(f"the data span from {lo!r} to {hi!r} is not a finite number")
     if hi == lo:
         return np.array([lo])
     zs = (xs - lo) / (hi - lo)
 
-    potentials = _potentials(zs, -4.0 / radius**2)
+    # equal values have equal potentials and share every decision, so the
+    # search runs over the distinct values, starts[i] being uz[i]'s first row
+    starts, counts = _runs(zs)
+    uz = zs[starts]
+    counts = counts.astype(float)
+
+    alpha = -4.0 / radius**2
     rb = SQUASH_FACTOR * radius
     beta = -4.0 / rb**2
+    approx, bound = _potentials(uz, counts, radius / 2.0)
+    # comparisons with approx use the bound widened by a few ulp of itself
+    # and of approx's largest value, for their own rounding
+    margin = bound * (1.0 + 8.0 * _UNIT) + 4.0 * _UNIT * float(np.abs(approx).max())
 
-    # the strongest candidate passes the accept test, so it is the first center
-    p_first = potentials.max()
+    row_sums = {}
+    revisions = []
+
+    def exact(ks: np.ndarray) -> np.ndarray:
+        """The potentials of uz[ks], bit for bit as the dense formula has them now."""
+        for k in ks:
+            if k not in row_sums:
+                row_sums[k] = np.exp(alpha * np.square(uz[k] - zs)).sum()
+        p = np.array([row_sums[k] for k in ks])
+        zk = uz[ks]
+        for pc, zc in revisions:
+            p = p - pc * np.exp(beta * np.square(zc - zk))
+        return p
+
+    # An accepted or rejected value leaves the search, as in the dense
+    # formula: an accepted one's potential drops to exactly 0 and a
+    # rejected one is zeroed, so either could top the others again only
+    # once every potential is <= 0, which ends the search.  After a
+    # rejection, the values that fail the gray-zone test at any potential
+    # their bound allows are doomed, and until the next acceptance only
+    # the others are candidates.  That changes no center: potentials only
+    # fall and distances to the centers only shrink, so a doomed value is
+    # rejected whenever it comes up, now or after later acceptances, or
+    # it stops the search where the next value would stop it too.
+    live = np.ones(uz.size, dtype=bool)
+    doomed = None
+    dmin = np.full(uz.size, np.inf)
     centers = []
     while True:
-        # xs is sorted, so the first maximum is the smallest of tied values
-        idx = int(np.argmax(potentials))
-        p = potentials[idx]
+        open_ = live if doomed is None else live & ~doomed
+        top = np.maximum.reduce(approx, where=open_, initial=-np.inf)
+        candidates = (open_ & (approx >= top - 2.0 * margin)).nonzero()[0]
+        if candidates.size == 0:
+            break
+        # the strongest candidate; of exact ties, the smallest value
+        p_all = exact(candidates)
+        best = int(np.argmax(p_all))
+        idx, p = int(candidates[best]), p_all[best]
+        if not centers:
+            # the strongest candidate passes the accept test, so it is the
+            # first center
+            p_first = p
         if p <= 0.0:
             break
         if p > ACCEPT_RATIO * p_first:
@@ -207,15 +391,27 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
         else:
             # gray zone: accept only if the candidate is far enough from
             # every existing center relative to how weak it is
-            dmin = min(abs(zs[idx] - zs[c]) for c in centers)
-            accept = dmin / radius + p / p_first >= 1.0
-        if accept:
-            centers.append(idx)
-            potentials -= p * np.exp(beta * (zs[idx] - zs) ** 2)
-        else:
-            potentials[idx] = 0.0
+            accept = dmin[idx] / radius + p / p_first >= 1.0
+        live[idx] = False
+        if not accept:
+            if doomed is None:
+                # no live potential is above p, so none passes the first test
+                high = np.minimum(approx + margin, p)
+                doomed = dmin / radius + high / p_first < 1.0
+            continue
 
-    return xs[centers]
+        doomed = None
+        centers.append(idx)
+        revisions.append((p, uz[idx]))
+        approx -= p * np.exp(beta * np.square(uz[idx] - uz))
+        # the revision is the same bits as the dense one; only rounding the
+        # two differences apart can widen the bound
+        largest = float(np.abs(approx).max())
+        bound = bound * (1.0 + _UNIT) + 2.0 * _UNIT / (1.0 - _UNIT) * largest
+        margin = bound * (1.0 + 8.0 * _UNIT) + 4.0 * _UNIT * largest
+        np.minimum(dmin, np.abs(uz[idx] - uz), out=dmin)
+
+    return xs[starts[centers]]
 
 
 def _fcm_memberships(d2: np.ndarray) -> np.ndarray:

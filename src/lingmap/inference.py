@@ -121,11 +121,13 @@ class FuzzyInferenceSystem:
 def _batch_size(fis: FuzzyInferenceSystem, values: dict) -> int:
     """N, the common length of the sequence inputs (1 if every input is one value)."""
     if values.keys() != fis.inputs.keys():
-        missing = sorted(set(fis.inputs) - set(values))
-        if missing:
-            raise EvaluationError(f"missing value for input variable '{missing[0]}'")
+        # an unknown name first: a misspelt input is also a missing one, and
+        # the misspelling is what the caller has to fix
         unknown = sorted(set(values) - set(fis.inputs))
-        raise EvaluationError(f"'{unknown[0]}' is not an input variable of this system")
+        if unknown:
+            raise EvaluationError(f"'{unknown[0]}' is not an input variable of this system")
+        missing = sorted(set(fis.inputs) - set(values))
+        raise EvaluationError(f"missing value for input variable '{missing[0]}'")
     lengths = {name: len(v) for name, v in values.items() if not _single(v)}
     n = max(lengths.values(), default=1)
     for name, length in lengths.items():

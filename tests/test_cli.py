@@ -290,6 +290,15 @@ class TestSurface:
         assert "'individualism' is on both axes" in captured.err
         assert captured.out == ""
 
+    def test_misspelt_axis_is_named(self, capsys, case2_path):
+        # 'foo' stands where 'individualism' should, so that input is also
+        # missing; the name to fix is the unknown one
+        args = ["surface", "--fis", case2_path, "--axis", "foo=0:1:2", "--fix", "gender=0"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert "'foo' is not an input variable" in captured.err
+        assert captured.out == ""
+
     def test_three_axes_rejected(self, capsys, case2_path):
         args = ["surface", "--fis", case2_path]
         for spec in ("individualism=0:100:3", "gender=0:1:2", "individualism=0:1:2"):
@@ -386,6 +395,15 @@ class TestElicit:
                 "--out", str(out)]
         assert cli.main(args) == 2
         assert "radius must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_span(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("value\n" + "-1e308\n" * 3 + "1e308\n" * 3, encoding="utf-8")
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", str(data), "--domain=-1e308,1e308", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "data span from -1e+308 to 1e+308 is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Clustering, membership fitting, and end-to-end variable elicitation."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,13 @@ class TestSubtractiveClustering:
         with pytest.raises(DefinitionError, match="radius must be positive"):
             subtractive_clusters(two_blobs, radius=radius)
 
+    def test_overflowing_span_is_named(self):
+        with pytest.raises(DatasetError, match="span from -1e[+]308 to 1e[+]308"):
+            subtractive_clusters([-1e308, 1e308])
+        data = TrainingSet(np.array([-1e308] * 3 + [1e308] * 3))
+        with pytest.raises(DatasetError, match="is not a finite number"):
+            elicit_variable(data, "x", Interval(-1e308, 1e308))
+
     def test_memory_is_linear_in_n(self):
         # the n x n formulation peaks at 572 MB here
         xs = np.random.default_rng(5000).normal(50.0, 15.0, size=5000)
@@ -150,8 +158,66 @@ def dense_subtractive_clusters(values, radius=0.5):
     return xs[centers]
 
 
+def regime_sample(kind, n):
+    """A seeded sample of n values from one regime of the potential expansion."""
+    rng = np.random.default_rng(n)
+    if kind == "two modes":
+        return np.concatenate([rng.normal(30.0, 8.0, n // 2), rng.normal(70.0, 8.0, n - n // 2)])
+    if kind == "one box and an outlier":
+        return np.append(rng.normal(0.0, 1e-3, n - 1), 1e3)
+    if kind == "integers 0-6":
+        return rng.integers(0, 7, n).astype(float)
+    # every integer 0..100 in turn: duplicates tie exactly, and mirror
+    # values up to rounding
+    return (np.arange(n) % 101).astype(float)
+
+
+REGIMES = ["two modes", "one box and an outlier", "integers 0-6", "101 integers"]
+# 0.05 and 0.1 spread the data over 41 and 21 boxes, past the reach of 7;
+# 1.5 puts it in two
+REGIME_RADII = [0.05, 0.1, 0.2, 0.5, 1.5]
+
+
 class TestSubtractiveAgainstDense:
     """Centers must equal the dense formulation's exactly, not approximately."""
+
+    @pytest.mark.parametrize("radius", REGIME_RADII)
+    @pytest.mark.parametrize("kind", REGIMES)
+    @pytest.mark.parametrize("n", [2, 9, 200, 1500, 3000])
+    def test_regimes(self, n, kind, radius):
+        xs = regime_sample(kind, n)
+        got = subtractive_clusters(xs, radius)
+        assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
+
+    @pytest.mark.parametrize("radius", REGIME_RADII)
+    @pytest.mark.parametrize("kind", REGIMES)
+    def test_looser_bound_gives_same_centers(self, kind, radius, monkeypatch):
+        # a bound 1e8 times looser still holds: more values are recomputed
+        # exactly and fewer are ruled out, and no center may move
+        potentials = elicit._potentials
+
+        def loose(*args):
+            approx, bound = potentials(*args)
+            return approx, bound * 1e8
+
+        monkeypatch.setattr(elicit, "_potentials", loose)
+        xs = regime_sample(kind, 1500)
+        got = subtractive_clusters(xs, radius)
+        assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
+
+    @pytest.mark.parametrize("radius", REGIME_RADII)
+    @pytest.mark.parametrize("kind", REGIMES)
+    @pytest.mark.parametrize("n", [2, 200, 3000])
+    def test_error_bound_holds(self, n, kind, radius):
+        zs = np.sort(regime_sample(kind, n))
+        zs = (zs - zs[0]) / (zs[-1] - zs[0])
+        uz, counts = np.unique(zs, return_counts=True)
+        approx, bound = elicit._potentials(uz, counts.astype(float), radius / 2.0)
+        alpha = -4.0 / radius**2
+        dense = np.array([np.exp(alpha * np.square(z - zs)).sum() for z in uz])
+        assert np.abs(approx - dense).max() <= bound
+        # and the bound is tight enough to leave few candidates
+        assert bound <= 1e-9 * dense.max()
 
     def test_fixture_dataset(self, individualism_data):
         xs = individualism_data.values
@@ -159,13 +225,10 @@ class TestSubtractiveAgainstDense:
             got = subtractive_clusters(xs, radius)
             assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
 
-    # with the shipped block, 2**18 // n rows per block divides none of
-    # these n, so the last block is a short one
     @pytest.mark.parametrize("n", [513, 1000, 1531])
     def test_two_mode_samples_span_several_blocks(self, n):
         rng = np.random.default_rng(n)
         xs = np.concatenate([rng.normal(30.0, 8.0, n // 2), rng.normal(70.0, 8.0, n - n // 2)])
-        assert n % (elicit._POTENTIAL_BLOCK // n) != 0
         got = subtractive_clusters(xs)
         assert got.tolist() == dense_subtractive_clusters(xs).tolist()
 
@@ -179,21 +242,47 @@ class TestSubtractiveAgainstDense:
             # few distinct values: duplicates and exact potential ties
             st.lists(st.integers(0, 6).map(float), min_size=1, max_size=60),
         ),
-        st.sampled_from([1, 7, 64, elicit._POTENTIAL_BLOCK]),
         st.sampled_from([0.1, 0.5, 1.5]),
     )
-    @example([3.0], 7, 0.5)
-    @example([0.0, 1.0], 1, 0.5)
-    @example([2.0] * 9, 7, 0.5)
-    @example([1.0, 1.0, 4.0, 4.0, 4.0, 9.0], 7, 0.5)
+    @example([3.0], 0.5)
+    @example([0.0, 1.0], 0.5)
+    @example([2.0] * 9, 0.5)
+    @example([1.0, 1.0, 4.0, 4.0, 4.0, 9.0], 0.5)
     @settings(max_examples=100, deadline=None)
-    def test_property(self, values, block, radius):
-        # small blocks split even short inputs into several blocks, the
-        # last of them short, and a block below n holds a single row
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(elicit, "_POTENTIAL_BLOCK", block)
-            got = subtractive_clusters(values, radius)
+    def test_property(self, values, radius):
+        got = subtractive_clusters(values, radius)
         assert got.tolist() == dense_subtractive_clusters(values, radius).tolist()
+
+
+class TestLargeSamples:
+    """Wall-clock bounds at n = 200 000, where the n x n formulation takes minutes."""
+
+    def test_two_modes(self):
+        rng = np.random.default_rng(200_000)
+        xs = np.concatenate([rng.normal(30.0, 8.0, 100_000), rng.normal(70.0, 8.0, 100_000)])
+        start = time.perf_counter()
+        centers = subtractive_clusters(xs)
+        elapsed = time.perf_counter() - start
+        assert len(centers) >= 2
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+    def test_101_distinct_integers(self):
+        xs = np.random.default_rng(101).integers(0, 101, 200_000).astype(float)
+        start = time.perf_counter()
+        centers = subtractive_clusters(xs)
+        elapsed = time.perf_counter() - start
+        assert len(centers) >= 2
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+    def test_elicit_variable(self):
+        rng = np.random.default_rng(200_001)
+        xs = np.concatenate([rng.normal(30.0, 8.0, 100_000), rng.normal(70.0, 8.0, 100_000)])
+        data = TrainingSet(np.clip(xs, 0.0, 100.0))
+        start = time.perf_counter()
+        result = elicit_variable(data, "x", Interval(0.0, 100.0))
+        elapsed = time.perf_counter() - start
+        assert len(result.variable.terms) == 2
+        assert elapsed < 20.0, f"took {elapsed:.2f}s"
 
 
 class TestFcm:
