@@ -298,9 +298,10 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
 
     values are normalized to [0, 1] by their own min/max before any
     distance is computed, so `radius` is a fraction of the observed data
-    span; it must be positive, and the span finite.  Returns centers in
-    original units, in order of selection (strongest first).  Identical
-    data collapses to a single center.
+    span; it must be positive, with -4/radius^2 and -4/(1.25 radius)^2
+    finite and nonzero (about 1.5e-154 to 1e154), and the span finite.
+    Returns centers in original units, in order of selection (strongest
+    first).  Identical data collapses to a single center.
 
     Takes O(n) memory and O(n log n + n * HERMITE_TERMS) time, plus O(n)
     for each distinct value whose potential has to be recomputed exactly:
@@ -312,6 +313,21 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
     """
     if not radius > 0.0:
         raise DefinitionError(f"radius must be positive, got {radius!r}")
+    # the kernels' exponents, as Python floats: a numpy radius keeps its
+    # bits, and a square that overflows raises instead of warning.  Outside
+    # about [1.5e-154, 1e154] they are infinite or 0, and every potential
+    # NaN or constant
+    try:
+        alpha = -4.0 / float(radius) ** 2
+        rb = SQUASH_FACTOR * float(radius)
+        beta = -4.0 / rb**2
+    except (OverflowError, ZeroDivisionError):
+        alpha = beta = math.nan
+    if not all(math.isfinite(e) and e != 0.0 for e in (alpha, beta)):
+        raise DefinitionError(
+            f"radius {radius!r} is out of range: -4/r^2 and -4/(1.25 r)^2 must be "
+            "finite and nonzero"
+        )
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
         raise DatasetError("training set is empty")
@@ -332,9 +348,6 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
     uz = zs[starts]
     counts = counts.astype(float)
 
-    alpha = -4.0 / radius**2
-    rb = SQUASH_FACTOR * radius
-    beta = -4.0 / rb**2
     approx, bound = _potentials(uz, counts, radius / 2.0)
     # comparisons with approx use the bound widened by a few ulp of itself
     # and of approx's largest value, for their own rounding

@@ -4,12 +4,17 @@ The pipeline is fuzzify -> min-conjunction -> min-implication (clipping) ->
 max-aggregation -> center-of-area defuzzification, and every stage works on
 a batch of N input profiles at once:
 
-* degrees: each input's terms evaluated on the batch, a [terms, N] matrix;
+* degrees: each input's terms evaluated on the batch, a [terms, N] matrix
+  (all Gauss2 terms of an input in one array expression);
 * firing strengths: a gather of each rule's antecedent rows, then a min;
-* aggregation: each rule's consequent curve, sampled once per system on the
-  output grid, is clipped at the rule's strength and the rules combine by
-  pointwise max, giving an [N, grid] array per output;
-* defuzzification: the discrete centroid, (curve * grid).sum / curve.sum.
+* aggregation: each consequent term is sampled once per system on the
+  output grid and kept on its support, the slice from its first to its last
+  nonzero sample.  A term is clipped at the strongest of the rules that
+  conclude it, since max_r min(c, s_r) = min(c, max_r s_r), and written by
+  pointwise max into its slice of a zeroed [N, grid] array per output;
+  outside every support, min(0, s) = 0 leaves the zeros;
+* defuzzification: the discrete centroid, (curve * grid).sum / curve.sum,
+  summed over whole rows, so the supports change no summation order.
 
 Inputs are given per variable as one value or a 1-D sequence of values,
 broadcast together; a single profile is a batch of one, so there is no
@@ -34,8 +39,9 @@ from .errors import DefinitionError, EvaluationError, NoRuleFiredError
 from .rules import Rule, check_rules
 from .variables import Interval, LinguisticVariable, _column, _single, fuzzify
 
-# evaluate runs its batch in chunks whose aggregation temporary, one float
-# per (profile, rule, grid point), holds at most this many floats (512 KiB)
+# evaluate runs its batch in chunks of _CHUNK_FLOATS // defuzz_resolution
+# profiles (at least one), so that its largest temporary, the chunk's
+# [profiles, grid] aggregated curves, holds at most this many floats (512 KiB)
 _CHUNK_FLOATS = 1 << 16
 
 
@@ -101,20 +107,34 @@ class FuzzyInferenceSystem:
         return np.array(index, dtype=np.intp)
 
     @cached_property
-    def _consequents(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per output: its rules' positions and their [rules, grid] consequent curves.
+    def _consequents(self) -> dict[str, tuple[np.ndarray, list]]:
+        """Per output: a [terms, k] index of each term's rules, and the terms' supports.
 
         Each term a rule concludes is sampled once on the output grid, on
-        the first inference, not at construction.
+        the first inference, not at construction, and kept as its support:
+        the grid slice from its first to its last nonzero sample, and the
+        curve there.  A term with no nonzero sample is left out, as clipping
+        0 gives 0.  A term concluded by fewer than k rules repeats its
+        first, which leaves their max unchanged.
         """
         table = {}
         for name, var in self.outputs.items():
             grid = self.output_grid(name)
-            positions = [i for i, r in enumerate(self.rules) if r.consequent.variable == name]
-            terms = [self.rules[i].consequent.term for i in positions]
-            sampled = {term: var.terms[term](grid) for term in dict.fromkeys(terms)}
-            curves = np.array([sampled[term] for term in terms]).reshape(len(terms), grid.size)
-            table[name] = (np.array(positions, dtype=np.intp), curves)
+            concluding = {}
+            for i, rule in enumerate(self.rules):
+                if rule.consequent.variable == name:
+                    concluding.setdefault(rule.consequent.term, []).append(i)
+            index, supports = [], []
+            for term, rules in concluding.items():
+                curve = var.terms[term](grid)
+                nonzero = np.flatnonzero(curve)
+                if nonzero.size:
+                    lo, hi = nonzero[0], nonzero[-1] + 1
+                    supports.append((slice(lo, hi), curve[lo:hi]))
+                    index.append(rules)
+            width = max(map(len, index), default=1)
+            index = [rules + rules[:1] * (width - len(rules)) for rules in index]
+            table[name] = (np.array(index, dtype=np.intp).reshape(-1, width), supports)
         return table
 
 
@@ -142,19 +162,26 @@ def _batch_size(fis: FuzzyInferenceSystem, values: dict) -> int:
 def firing_strengths(fis: FuzzyInferenceSystem, values: dict) -> np.ndarray:
     """Min-conjunction activation of each rule, for each profile.
 
-    Returns a flat array, profile-major: the R rule strengths (in rule
-    order) of one profile, or N*R for a batch of N, so that
-    ``reshape(N, R)`` recovers one row per profile.
+    values is as for evaluate.  Returns a flat array, profile-major: the R
+    rule strengths (in rule order) of one profile, or N*R for a batch of N,
+    so that ``reshape(N, R)`` recovers one row per profile.
     """
-    n = _batch_size(fis, values)
-    degrees = [
-        degree
-        for name, var in fis.inputs.items()
-        for degree in fuzzify(var, values[name]).values()
-    ]
-    matrix = np.empty((len(degrees), n))
-    for row, degree in enumerate(degrees):
-        matrix[row] = degree
+    try:
+        degrees = [
+            degree
+            for name, var in fis.inputs.items()
+            for degree in fuzzify(var, values[name]).values()
+        ]
+        n = max((len(d) for d in degrees if isinstance(d, np.ndarray)), default=1)
+        matrix = np.empty((len(degrees), n))
+        for row, degree in enumerate(degrees):
+            matrix[row] = degree
+    except (KeyError, ValueError):
+        # a missing input, or sequences of two lengths: evaluate checks the
+        # names and lengths once, before its chunks, so only a direct call
+        # pays for naming the fault here
+        _batch_size(fis, values)
+        raise
     return matrix[fis._antecedents].min(axis=1).T.ravel()
 
 
@@ -165,14 +192,20 @@ def infer(fis: FuzzyInferenceSystem, values: dict) -> dict[str, np.ndarray]:
     curves for the same output variable combine by pointwise max.  Returns
     one [N, defuzz_resolution] array per output variable, with N = 1 when
     every input is one value.  A row is all zeros where no rule for that
-    output fired.
+    output fired.  values is as for firing_strengths.
     """
     strengths = np.reshape(firing_strengths(fis, values), (-1, len(fis.rules)))
-    # initial=0.0 gives a zero curve for an output that no rule concludes
-    return {
-        name: np.minimum(table, strengths[:, positions, None]).max(axis=1, initial=0.0)
-        for name, (positions, table) in fis._consequents.items()
-    }
+    curves = {}
+    for name, (index, supports) in fis._consequents.items():
+        # max_r min(c, s_r) = min(c, max_r s_r): one clip per term, at the
+        # strongest of its rules, and only on its support, as min(0, s) = 0
+        term_strengths = strengths[:, index].max(axis=2)
+        curve = np.zeros((len(strengths), fis.defuzz_resolution))
+        for t, (support, consequent) in enumerate(supports):
+            part = curve[:, support]
+            np.maximum(part, np.minimum(consequent, term_strengths[:, t, None]), out=part)
+        curves[name] = curve
+    return curves
 
 
 def defuzzify_coa(curve: np.ndarray, domain: Interval, variable: str | None = None):
@@ -192,7 +225,17 @@ def defuzzify_coa(curve: np.ndarray, domain: Interval, variable: str | None = No
         raise NoRuleFiredError(
             f"no rule fired{where}: the aggregated membership curve is zero everywhere"
         )
-    value = (curve * domain.grid(curve.shape[-1])).sum(axis=-1) / total
+    grid = domain.grid(curve.shape[-1])
+    rows = curve.reshape(-1, grid.size)
+    moment = np.empty(len(rows))
+    # the products are taken a quarter chunk at a time: a product as large
+    # as the curves, freed beside them, lets glibc's malloc trim the heap
+    # after each evaluate call, and the next call faults the pages back in
+    # (about 300 minor faults per call on a 65-profile case-2 batch)
+    block = max(1, _CHUNK_FLOATS // 4 // grid.size)
+    for lo in range(0, len(rows), block):
+        (rows[lo:lo + block] * grid).sum(axis=-1, out=moment[lo:lo + block])
+    value = moment.reshape(total.shape) / total
     # the exact centroid cannot leave [lo, hi]; clip ulp-level rounding spill
     if curve.ndim == 1:
         return min(max(float(value), domain.lo), domain.hi)
@@ -230,7 +273,7 @@ def evaluate(fis: FuzzyInferenceSystem, values: dict) -> dict:
     the inputs of the first profile for which no rule fired.
     """
     n = _batch_size(fis, values)
-    step = max(1, _CHUNK_FLOATS // (len(fis.rules) * fis.defuzz_resolution))
+    step = max(1, _CHUNK_FLOATS // fis.defuzz_resolution)
     outputs = {name: np.empty(n) for name in fis.outputs}
     for lo in range(0, n, step):
         chunk = values
@@ -247,6 +290,9 @@ def evaluate(fis: FuzzyInferenceSystem, values: dict) -> dict:
             except NoRuleFiredError as exc:
                 row = lo + int(np.argmax(curve.sum(axis=-1) <= 0.0))
                 raise _no_rule_fired(fis, values, row, exc) from None
+        # free this chunk's curves before the next chunk makes its own, for
+        # the same reason as the blocks in defuzzify_coa
+        del curve
     if all(_single(v) for v in values.values()):
         return {name: float(out[0]) for name, out in outputs.items()}
     return outputs

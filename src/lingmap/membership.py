@@ -12,8 +12,32 @@ from .errors import DefinitionError
 
 
 def _bump(x, b, g):
-    """exp(-(x - b)^2 / g^2), for Gauss2 and the Jacobian of its fitter."""
+    """exp(-(x - b)^2 / g^2), for the Jacobian of the Gauss2 fitter."""
     return np.exp(-((x - b) ** 2) / g**2)
+
+
+def _gauss2_params(shapes) -> np.ndarray:
+    """[3, 2, shapes]: alpha, beta and gamma**2 of both bumps of each Gauss2.
+
+    gamma**2 is a Python float square, as in _bump: it can differ from the
+    numpy square in the last bit.
+    """
+    return np.array([
+        [[s.alpha1 for s in shapes], [s.alpha2 for s in shapes]],
+        [[s.beta1 for s in shapes], [s.beta2 for s in shapes]],
+        [[s.gamma1**2 for s in shapes], [s.gamma2**2 for s in shapes]],
+    ])
+
+
+def _gauss2(params, x) -> np.ndarray:
+    """Each Gauss2 of params (from _gauss2_params) at x: [shapes, *x.shape].
+
+    One array expression for every shape, so a variable's Gauss2 terms cost
+    the numpy calls of one term.
+    """
+    alpha, beta, width2 = params.reshape(params.shape + (1,) * x.ndim)
+    weighted = alpha * np.exp(-((x - beta) ** 2) / width2)
+    return np.minimum(np.maximum(weighted[0] + weighted[1], 0.0), 1.0)
 
 
 def _require_finite(shape) -> None:
@@ -87,11 +111,7 @@ class Gauss2:
             )
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        raw = self.alpha1 * _bump(x, self.beta1, self.gamma1) + self.alpha2 * _bump(
-            x, self.beta2, self.gamma2
-        )
-        return np.minimum(np.maximum(raw, 0.0), 1.0)
+        return _gauss2(_gauss2_params([self]), np.asarray(x, dtype=float))[0]
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DefinitionError, DomainError, EvaluationError
-from .membership import CrispLabel, Gauss2, MembershipFunction, Trapezoid
+from .membership import CrispLabel, Gauss2, MembershipFunction, Trapezoid, _gauss2, _gauss2_params
 
 VARIABLE_KINDS = ("nominal", "ordinal", "interval", "ratio")
 
@@ -106,6 +106,12 @@ class LinguisticVariable:
                     "gauss2 shape on an interval domain"
                 )
 
+    @cached_property
+    def _gauss2_terms(self) -> tuple[list, np.ndarray]:
+        """The names of the Gauss2 terms and their stacked parameters, built once."""
+        names = [term for term, mf in self.terms.items() if isinstance(mf, Gauss2)]
+        return names, _gauss2_params([self.terms[term] for term in names])
+
 
 def _single(x) -> bool:
     """Whether x is one value (a number or a code) rather than a sequence of them."""
@@ -165,7 +171,10 @@ def fuzzify(var: LinguisticVariable, x) -> dict:
     (or not a listed code); out-of-domain inputs are never clamped.
     """
     column = _column(var, x)
-    degrees = {term: mf(column) for term, mf in var.terms.items()}
+    names, params = var._gauss2_terms
+    stacked = dict(zip(names, _gauss2(params, column))) if names else {}
+    degrees = {term: stacked[term] if term in stacked else mf(column)
+               for term, mf in var.terms.items()}
     if _single(x):
         return {term: float(d[0]) for term, d in degrees.items()}
     return degrees

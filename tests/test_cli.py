@@ -397,6 +397,16 @@ class TestElicit:
         assert "radius must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_radius_out_of_range(self, capsys, tmp_path, csv_path):
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", csv_path, "--domain", "0,100", "--radius", "1e-200",
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius 1e-200 is out of range")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_overflowing_span(self, capsys, tmp_path):
         data = tmp_path / "huge.csv"
         data.write_text("value\n" + "-1e308\n" * 3 + "1e308\n" * 3, encoding="utf-8")

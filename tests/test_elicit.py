@@ -96,6 +96,13 @@ class TestSubtractiveClustering:
         with pytest.raises(DefinitionError, match="radius must be positive"):
             subtractive_clusters(two_blobs, radius=radius)
 
+    @pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e300])
+    def test_radius_with_no_finite_kernel_is_refused(self, radius):
+        # 1e-160 made every potential NaN and returned no centres,
+        # 1e-200 divided by zero and 1e300 overflowed the square
+        with pytest.raises(DefinitionError, match="out of range"):
+            subtractive_clusters(np.arange(10.0), radius=radius)
+
     def test_overflowing_span_is_named(self):
         with pytest.raises(DatasetError, match="span from -1e[+]308 to 1e[+]308"):
             subtractive_clusters([-1e308, 1e308])

@@ -1,5 +1,7 @@
 """Mamdani pipeline: firing, clipping, aggregation, defuzzification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from lingmap import (
     DomainError,
     EvaluationError,
     FuzzyInferenceSystem,
+    Gauss2,
     Interval,
     LinguisticVariable,
     NoRuleFiredError,
@@ -107,6 +110,13 @@ class TestFiring:
         with pytest.raises(EvaluationError) as err:
             evaluate(fis, {"temp": 5.0})
         assert "hum" in str(err.value)
+
+    def test_direct_call_names_a_missing_input_or_a_length(self):
+        fis = make_fis()
+        with pytest.raises(EvaluationError, match="'hum'"):
+            firing_strengths(fis, {"temp": 5.0})
+        with pytest.raises(EvaluationError, match="one length"):
+            infer(fis, {"temp": [5.0, 6.0, 7.0], "hum": [1.0, 2.0]})
 
     def test_unknown_input_is_an_error(self):
         fis = make_fis()
@@ -402,3 +412,112 @@ class TestBatchKernel:
         assert len(grid_calls) == 3  # close, medium and far, once each
         evaluate(fis, case2_profiles(3))
         assert [n for n in calls if n == fis.defuzz_resolution] == grid_calls
+
+
+def aggregation_system(consequents: dict, rules: str) -> FuzzyInferenceSystem:
+    """Inputs x on [0, 1] and y on [0, 10]; output z on [0, 10] with the given terms."""
+    x = LinguisticVariable(
+        "x", "ratio", Interval(0.0, 1.0),
+        {"lo": Trapezoid(0, 0, 0.3, 0.7), "mid": Gauss2(0.9, 0.5, 0.2, 0.3, 0.7, 0.1),
+         "hi": Trapezoid(0.3, 0.7, 1, 1)},
+    )
+    y = LinguisticVariable(
+        "y", "ratio", Interval(0.0, 10.0), {"a": Trapezoid(0, 0, 4, 6), "b": Trapezoid(4, 6, 10, 10)}
+    )
+    z = LinguisticVariable("z", "ratio", Interval(0.0, 10.0), consequents)
+    return FuzzyInferenceSystem({"x": x, "y": y}, {"z": z}, parse_rules(rules))
+
+
+# every system has a rule on "x is mid", whose Gauss2 is positive on all of
+# [0, 1], so some rule fires for every profile
+AGGREGATION_SYSTEMS = {
+    "overlapping supports": aggregation_system(
+        {"p": Trapezoid(0, 2, 4, 6), "q": Trapezoid(3, 5, 7, 9), "r": Trapezoid(5, 8, 10, 10)},
+        "if x is lo then z is p\nif x is mid then z is q\nif x is hi and y is b then z is r",
+    ),
+    "gauss2 consequent": aggregation_system(
+        # the second bump's negative alpha clamps the flanks to 0
+        {"g": Gauss2(1.0, 5.0, 1.5, -0.4, 5.0, 4.0), "t": Trapezoid(1, 2, 3, 4)},
+        "if x is mid then z is g\nif x is lo and y is a then z is t",
+    ),
+    "one term, several rules": aggregation_system(
+        {"m": Trapezoid(2, 4, 6, 8), "n": Trapezoid(6, 8, 10, 10)},
+        "if x is lo and y is a then z is m\nif x is hi then z is m\n"
+        "if x is mid then z is n\nif x is mid and y is b then z is m",
+    ),
+    "support outside the domain": aggregation_system(
+        {"far": Trapezoid(20, 21, 22, 23), "near": Trapezoid(1, 3, 5, 7)},
+        "if x is lo then z is far\nif x is mid then z is near",
+    ),
+}
+
+
+def dense_aggregation(fis, values) -> np.ndarray:
+    """The clip/max aggregation over every rule and every grid point, as an oracle."""
+    strengths = np.reshape(firing_strengths(fis, values), (-1, len(fis.rules)))
+    grid = fis.output_grid("z")
+    curves = np.array([fis.outputs["z"].terms[r.consequent.term](grid) for r in fis.rules])
+    return np.minimum(curves, strengths[:, :, None]).max(axis=1, initial=0.0)
+
+
+def aggregation_profiles(n: int) -> dict:
+    rng = np.random.default_rng(n)
+    return {"x": rng.uniform(0.0, 1.0, n), "y": rng.uniform(0.0, 10.0, n)}
+
+
+class TestSupportAggregation:
+    @pytest.mark.parametrize("system", AGGREGATION_SYSTEMS)
+    @pytest.mark.parametrize("n", [1, 64, 65, 66, 131])
+    def test_equals_the_dense_aggregation(self, system, n):
+        fis = AGGREGATION_SYSTEMS[system]
+        batch = aggregation_profiles(n)
+        np.testing.assert_array_equal(infer(fis, batch)["z"], dense_aggregation(fis, batch))
+
+    @pytest.mark.parametrize("system", AGGREGATION_SYSTEMS)
+    def test_batch_rows_equal_single_calls(self, system):
+        fis = AGGREGATION_SYSTEMS[system]
+        batch = aggregation_profiles(131)
+        for n in (64, 65, 66, 131):
+            got = evaluate(fis, {name: column[:n] for name, column in batch.items()})["z"]
+            for k in range(n):
+                single = evaluate(fis, {name: float(column[k]) for name, column in batch.items()})
+                assert got[k] == single["z"]
+
+    def test_supports_are_the_nonzero_samples(self):
+        fis = AGGREGATION_SYSTEMS["gauss2 consequent"]
+        index, supports = fis._consequents["z"]
+        grid = fis.output_grid("z")
+        for (support, curve), term in zip(supports, ("g", "t")):
+            full = fis.outputs["z"].terms[term](grid)
+            nonzero = np.flatnonzero(full)
+            assert (support.start, support.stop) == (nonzero[0], nonzero[-1] + 1)
+            assert curve.tolist() == full[support].tolist()
+        # the Gauss2 clamps to 0 on its flanks, so its support is not the grid
+        assert 0 < supports[0][0].start and supports[0][0].stop < grid.size
+        assert index.tolist() == [[0], [1]]
+
+    def test_term_outside_the_domain_has_no_support(self):
+        fis = AGGREGATION_SYSTEMS["support outside the domain"]
+        index, supports = fis._consequents["z"]
+        # the rule concluding "far" fires, but "far" is 0 on the whole grid
+        assert firing_strengths(fis, {"x": 0.1, "y": 5.0})[0] == 1.0
+        assert index.tolist() == [[1]] and len(supports) == 1
+
+    def test_rules_of_one_term_share_a_padded_row(self):
+        index, _ = AGGREGATION_SYSTEMS["one term, several rules"]._consequents["z"]
+        assert index.tolist() == [[0, 1, 3], [2, 2, 2]]
+
+    def test_memory_is_bounded_beyond_the_outputs(self, case2_fis):
+        # 200 000 profiles in one call: the chunks keep the temporaries near
+        # one chunk's [profiles, grid] curves, where one [N, grid] array
+        # would take 1.6 GB
+        batch = case2_profiles(200_000, seed=7)
+        evaluate(case2_fis, case2_profiles(3))  # sample the consequents first
+        tracemalloc.start()
+        try:
+            got = evaluate(case2_fis, batch)["distance"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (200_000,)
+        assert peak - got.nbytes < 2**20

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the output bits of lingmap on fixed inputs.
+
+Two source trees that print the same digest on one host compute the same
+bits for:
+
+* seeded `evaluate` batches of 1, 17, 65, 66 and 1000 profiles on each
+  packaged case (sizes on both sides of the kernel's chunk step);
+* 200 single-profile `evaluate` calls, 100 on each case;
+* the elicitation of the packaged individualism scores: the catalog text,
+  the cluster centres and the membership matrix.
+
+A change that claims "the same bits" runs this on the parent and on the
+change and compares the two lines.  lingmap is imported from the `src`
+directory next to this script, not from an installed copy.
+
+Run:  python3 tools/digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from lingmap import (  # noqa: E402
+    Catalog,
+    Interval,
+    dumps_catalog,
+    elicit_variable,
+    evaluate,
+    load_catalog,
+    load_training_csv,
+)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "lingmap", "fixtures")
+BATCH_SIZES = (1, 17, 65, 66, 1000)
+SINGLE_CALLS = 100  # per case
+
+
+def profiles(case: int, n: int, seed: int) -> dict:
+    """n seeded profiles for case 1 or 2; gender avoids 0.5, where no rule fires."""
+    rng = np.random.default_rng([case, n, seed])
+    values = {"individualism": rng.uniform(0.0, 100.0, n)}
+    if case == 2:
+        gender = rng.uniform(0.0, 1.0, n)
+        gender[gender == 0.5] = 0.25
+        values["gender"] = gender
+    return values
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    systems = {
+        1: load_catalog(os.path.join(FIXTURES, "case1_distance.json")).fis,
+        2: load_catalog(os.path.join(FIXTURES, "case2_distance_gender.json")).fis,
+    }
+    for case, fis in systems.items():
+        for n in BATCH_SIZES:
+            out = evaluate(fis, profiles(case, n, seed=0))["distance"]
+            digest.update(np.ascontiguousarray(out, dtype=float).tobytes())
+        batch = profiles(case, SINGLE_CALLS, seed=1)
+        for k in range(SINGLE_CALLS):
+            one = {name: float(column[k]) for name, column in batch.items()}
+            digest.update(np.float64(evaluate(fis, one)["distance"]).tobytes())
+
+    data = load_training_csv(os.path.join(FIXTURES, "hofstede_individualism.csv"))
+    result = elicit_variable(data, "individualism", Interval(0.0, 100.0))
+    digest.update(dumps_catalog(Catalog(variables={"individualism": result.variable})).encode())
+    digest.update(np.ascontiguousarray(result.clusters.centers, dtype=float).tobytes())
+    digest.update(np.ascontiguousarray(result.clusters.memberships, dtype=float).tobytes())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
