@@ -8,20 +8,24 @@ The pipeline has three stages:
 3. a damped Gauss-Newton fit compresses each membership column into a
    two-term Gaussian, which becomes one linguistic term.
 
-No RNG is involved anywhere, and exact potential ties in stage 1 go to
-the smallest value: stage 1 sorts the data, and of tied values the first
-is taken.  So permuting the input cannot change the outcome.  That makes
-repeated runs bit-identical on one numpy build running on one BLAS kernel;
-it does not make them bit-identical across builds, or across the kernels
-one OpenBLAS build picks from by CPU (``OPENBLAS_CORETYPE`` changes the
+No RNG is involved anywhere, and no stage depends on the order of the
+rows.  Stage 1 sorts the data and gives exact potential ties to the
+smallest value.  Stages 2 and 3 run over the distinct sorted values
+(stage 3 over the distinct (value, membership) pairs), each weighted by
+how often it occurs, as Eschrich, Ke, Hall & Goldgof (2003) do for fuzzy
+c-means.  So permuting the input changes no bit of the result; the
+membership rows follow the input rows.  That makes repeated runs
+bit-identical on one numpy build running on one BLAS kernel; it does not
+make them bit-identical across builds, or across the kernels one
+OpenBLAS build picks from by CPU (``OPENBLAS_CORETYPE`` changes the
 bytes), whose matrix products and solves round differently.  Stage 1 is
-not affected: it decides only on potentials computed without BLAS, so its
-centers are the same bits on every BLAS.  What is tested for stages 2 and
-3 is that such rounding does not steer the result: stage 3 seeds the two
-bumps of each term apart, at the center plus and minus half the cluster
-spread, so the fit has one well-defined minimum to converge to.  On the
-packaged individualism data a 1-ulp change to a membership column moves
-the fitted parameters by less than 1e-12 relative
+not affected: it decides only on potentials computed without BLAS, so
+its centers are the same bits on every BLAS.  What is tested for stages
+2 and 3 is that such rounding does not steer the result: stage 3 seeds
+the two bumps of each term apart, at the center plus and minus half the
+cluster spread, so the fit has one well-defined minimum to converge to.
+On the packaged individualism data a 1-ulp change to a membership column
+moves the fitted parameters by less than 1e-12 relative
 (tests/test_elicit.py::TestFitStability).
 
 Stage 1 takes O(n) memory for any radius, and O(n log n + n *
@@ -34,6 +38,14 @@ cannot tell from the strongest.  So the centers equal that formulation's
 bit for bit.  Those values are a handful on most data, but most of the
 values of evenly spaced data at small radii, whose potentials tie to
 within rounding.
+
+fcm and fit_gauss2 each sort their rows once, in O(n log n); an
+iteration then takes a number of numpy calls that does not grow with n,
+and array work in proportion to the number of distinct values.  A trial
+step of the fit evaluates only the model; the Jacobian is built once per
+accepted step, from the intermediates of the trial that was accepted.
+200 000 integer scores from 0 to 100 elicit in 0.07-0.15 s on a shared
+2-core x86-64 host.
 
 The only setting is the cluster radius, a fraction of the data span
 (default 0.5).  Every other constant is fixed:
@@ -74,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, DefinitionError, ElicitationError
-from .membership import Gauss2, _bump
+from .membership import Gauss2
 from .variables import Interval, LinguisticVariable, _coverage
 
 # A two-term Gaussian has six parameters, so fits (and therefore
@@ -100,6 +112,13 @@ COVERAGE_FLOOR = 0.2
 _UNIT = 2.0**-53
 
 
+def _require_finite_rows(xs: np.ndarray) -> None:
+    """Raise DatasetError naming the first row of xs that is not finite."""
+    if not np.all(np.isfinite(xs)):
+        bad = int(np.flatnonzero(~np.isfinite(xs))[0])
+        raise DatasetError(f"non-finite value at row {bad + 1}")
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """1-D finite observations, read-only."""
@@ -110,9 +129,7 @@ class TrainingSet:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise DatasetError("training set is empty")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise DatasetError(f"non-finite value at row {bad + 1}")
+        _require_finite_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -156,11 +173,16 @@ class ElicitResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each run of equal values in the sorted array a."""
+def _runs(a: np.ndarray, *more: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal entries in the sorted array a.
+
+    With more arrays of a's length, a run is a run of equal entries in each.
+    """
     first = np.empty(a.size, dtype=bool)
     first[0] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
+    for b in more:
+        first[1:] |= b[1:] != b[:-1]
     starts = first.nonzero()[0]
     return starts, np.append(starts[1:], a.size) - starts
 
@@ -428,24 +450,22 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
 
 
 def _fcm_memberships(d2: np.ndarray) -> np.ndarray:
-    """Bezdek's memberships from the squared distances, one row per point."""
-    u = np.zeros_like(d2)
-    zero_rows = np.any(d2 == 0.0, axis=1)
-    if np.any(zero_rows):
-        hits = d2[zero_rows] == 0.0
-        u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
-    regular = ~zero_rows
-    if np.any(regular):
-        # Bezdek's update on distance ratios: dividing each row by its
-        # smallest d2 keeps every base >= 1, so the negative power lies in
-        # (0, 1] and cannot overflow however tiny the distances are; a
-        # ratio that overflows to inf gets the exact limit, membership 0
-        power = 1.0 / (FUZZIFIER - 1.0)
-        rows = d2[regular]
-        with np.errstate(over="ignore"):
-            ratio = rows / rows.min(axis=1, keepdims=True)
-        inv = ratio**-power
-        u[regular] = inv / inv.sum(axis=1, keepdims=True)
+    """Bezdek's memberships from the squared distances d2, [clusters, values]."""
+    hits = d2 == 0.0
+    # Bezdek's update on distance ratios: dividing each column by its
+    # smallest d2 keeps every base >= 1, so the negative power lies in
+    # (0, 1] and cannot overflow however tiny the distances are; a ratio
+    # that overflows to inf gets the exact limit, membership 0.  A column
+    # with a zero distance comes out NaN here and is replaced below
+    power = 1.0 / (FUZZIFIER - 1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = (d2 / d2.min(axis=0)) ** -power
+        u = inv / inv.sum(axis=0)
+    exact = hits.any(axis=0)
+    if exact.any():
+        # a value on a center belongs to the centers it sits on, equally
+        hits = hits[:, exact]
+        u[:, exact] = hits / hits.sum(axis=0)
     return u
 
 
@@ -458,14 +478,30 @@ def fcm(values, k: int, init=None) -> ClusterModel:
     below FCM_TOL; hitting FCM_MAX_ITER first sets converged=False rather
     than raising.  Centers come back sorted ascending with membership
     columns permuted to match.
+
+    Equal values have equal memberships, so the iteration runs over the
+    distinct sorted values, each weighted by its count (Eschrich, Ke, Hall
+    & Goldgof 2003): centers are sum(c u^m x) / sum(c u^m) and the
+    objective is sum(c u^m d^2).  Its numpy calls per iteration do not
+    grow with n, and its array work grows with the number of distinct
+    values; the memberships are then spread back to one row per
+    observation, in input order.  Permuting the input changes no bit.
+    Non-finite values, and data whose span has no finite square (so no
+    finite squared distance), raise DatasetError.
     """
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
         raise DatasetError("training set is empty")
+    _require_finite_rows(xs)
     if k < 1:
         raise DefinitionError("k must be at least 1")
     if k > xs.size:
         raise DefinitionError(f"cannot form {k} clusters from {xs.size} observations")
+    ux, counts = np.unique(xs, return_counts=True)
+    lo, hi = float(ux[0]), float(ux[-1])
+    if not math.isfinite((hi - lo) * (hi - lo)):
+        raise DatasetError(f"the data span from {lo!r} to {hi!r} has no finite square")
+    counts = counts.astype(float)
 
     if init is not None and len(init) >= k:
         centers = np.asarray(init, dtype=float).ravel()[:k].copy()
@@ -475,19 +511,19 @@ def fcm(values, k: int, init=None) -> ClusterModel:
         # coincident seeds would never separate; nudge onto quantiles
         centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
         if np.unique(centers).size < k:
-            centers = centers + np.arange(k) * 1e-9 * max(np.ptp(xs), 1.0)
+            centers = centers + np.arange(k) * 1e-9 * max(hi - lo, 1.0)
 
     objective_path = []
     converged = False
     iterations = 0
     for _ in range(FCM_MAX_ITER):
-        d2 = (xs[:, None] - centers[None, :]) ** 2
-        weights = _fcm_memberships(d2) ** FUZZIFIER
+        d2 = (ux - centers[:, None]) ** 2
+        weights = _fcm_memberships(d2) ** FUZZIFIER * counts
         objective_path.append(float((weights * d2).sum()))
-        total = weights.sum(axis=0)
+        total = weights.sum(axis=1)
         # a center whose weights all underflow to 0 stays put, not NaN
         new_centers = np.divide(
-            (weights * xs[:, None]).sum(axis=0), total, out=centers.copy(), where=total > 0.0
+            (weights * ux).sum(axis=1), total, out=centers.copy(), where=total > 0.0
         )
         iterations += 1
         shift = float(np.abs(new_centers - centers).max())
@@ -496,10 +532,10 @@ def fcm(values, k: int, init=None) -> ClusterModel:
             converged = True
             break
 
-    u = _fcm_memberships((xs[:, None] - centers[None, :]) ** 2)
+    u = _fcm_memberships((ux - centers[:, None]) ** 2)
     order = np.argsort(centers, kind="stable")
     centers = centers[order]
-    u = u[:, order]
+    u = u[order].T[np.searchsorted(ux, xs)]
     centers.setflags(write=False)
     u.setflags(write=False)
     return ClusterModel(
@@ -511,23 +547,33 @@ def fcm(values, k: int, init=None) -> ClusterModel:
     )
 
 
-def _gauss2_jacobian(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Model values and Jacobian at p = (a1, b1, log g1, a2, b2, log g2)."""
-    jac = np.empty((xs.size, 6))
-    f = np.zeros(xs.size)
-    # trial steps can push log-widths to extremes; exp then saturates to
-    # inf/0 and the resulting non-finite cost gets the step rejected
-    with np.errstate(all="ignore"):
-        for t in range(2):
-            a, b, logg = p[3 * t : 3 * t + 3]
-            g = float(np.exp(logg))
-            dx = xs - b
-            e = _bump(xs, b, g)
-            f += a * e
-            jac[:, 3 * t] = e
-            jac[:, 3 * t + 1] = a * e * 2.0 * dx / g**2
-            jac[:, 3 * t + 2] = a * e * 2.0 * dx**2 / g**2
-    return f, jac
+def _gauss2_model(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Model values at p = (a1, b1, log g1, a2, b2, log g2), and the intermediates of the Jacobian.
+
+    Both bumps are one [2, n] expression.  Each width is squared as a
+    Python float, as Gauss2 evaluation does.  Called with numpy's
+    floating-point warnings off.
+    """
+    g1, g2 = np.exp(p[2::3]).tolist()
+    width2 = np.array([[g1**2], [g2**2]])
+    dx = xs - p[1::3, None]
+    # exp(-dx^2 / width2), in place
+    e = np.square(dx)
+    np.negative(e, out=e)
+    np.divide(e, width2, out=e)
+    np.exp(e, out=e)
+    ae = p[0::3, None] * e
+    return ae[0] + ae[1], (e, ae, dx, width2)
+
+
+def _gauss2_jacobian(parts: tuple) -> np.ndarray:
+    """The model's Jacobian [6, n] from the intermediates _gauss2_model returned."""
+    e, ae, dx, width2 = parts
+    jac = np.empty((6, e.shape[1]))
+    jac[0::3] = e
+    jac[1::3] = ae * 2.0 * dx / width2
+    jac[2::3] = ae * 2.0 * np.square(dx) / width2
+    return jac
 
 
 def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
@@ -538,6 +584,13 @@ def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
     is never worse than init.  Convergence means the relative cost decrease
     fell below FIT_MIN_DROP or the step shrank below FIT_MIN_STEP; running
     out of iterations or damping headroom reports converged=False instead.
+
+    Equal (x, y) pairs are merged first, and their counts weight the cost,
+    the gradient and the normal matrix, so the work grows with the number
+    of distinct pairs and permuting the pairs changes no bit.  A trial step
+    evaluates only the model; the Jacobian is built once per accepted step
+    from that trial's intermediates.  The residual reported is the RMS over
+    all the pairs given.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -550,6 +603,12 @@ def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
         )
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DatasetError("non-finite values in fit data")
+    n = xs.size
+    # equal pairs share every residual: merge them, sorted by x then y
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    starts, counts = _runs(xs, ys)
+    xs, ys, counts = xs[starts], ys[starts], counts.astype(float)
 
     p = np.array(
         [
@@ -561,50 +620,61 @@ def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
             math.log(init.gamma2),
         ]
     )
-    f, jac = _gauss2_jacobian(xs, p)
-    residual = f - ys
-    cost = float(residual @ residual)
-    # below this, the residual is numerical noise and further damping
-    # sweeps would just stall without improving
-    cost_floor = 1e-22 * max(float(ys @ ys), 1.0)
+    # a trial step can push a log-width to where exp saturates to inf or 0;
+    # the non-finite cost then gets the step rejected, so numpy's
+    # floating-point warnings are off for the whole loop
+    with np.errstate(all="ignore"):
+        f, parts = _gauss2_model(xs, p)
+        residual = f - ys
+        weighted = counts * residual
+        cost = float(weighted @ residual)
+        # below this, the residual is numerical noise and further damping
+        # sweeps would just stall without improving
+        cost_floor = 1e-22 * max(float((counts * ys) @ ys), 1.0)
 
-    lam = 1e-3
-    converged = cost <= cost_floor
-    iterations = 0
-    while not converged and iterations < FIT_MAX_ITER:
-        iterations += 1
-        grad = jac.T @ residual
-        hess = jac.T @ jac
-        diag = np.maximum(np.diag(hess), 1e-12)
+        # the normal matrix is sqrt(counts) * jac times its own transpose,
+        # a product numpy computes exactly symmetric
+        root = np.sqrt(counts)
+        lam = 1e-3
+        converged = cost <= cost_floor
+        iterations = 0
+        while not converged and iterations < FIT_MAX_ITER:
+            iterations += 1
+            jac = _gauss2_jacobian(parts)
+            grad = jac @ weighted
+            jac *= root
+            hess = jac @ jac.T
+            damping = np.diag(np.maximum(hess.diagonal(), 1e-12))
 
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
+            accepted = False
+            while lam <= 1e12:
+                try:
+                    step = np.linalg.solve(hess + lam * damping, -grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                new_p = p + step
+                new_f, new_parts = _gauss2_model(xs, new_p)
+                new_residual = new_f - ys
+                new_weighted = counts * new_residual
+                new_cost = float(new_weighted @ new_residual)
+                if math.isfinite(new_cost) and new_cost < cost:
+                    accepted = True
+                    break
                 lam *= 10.0
-                continue
-            new_p = p + step
-            new_f, new_jac = _gauss2_jacobian(xs, new_p)
-            new_residual = new_f - ys
-            new_cost = float(new_residual @ new_residual)
-            if np.isfinite(new_cost) and new_cost < cost:
-                accepted = True
+            if not accepted:
                 break
-            lam *= 10.0
-        if not accepted:
-            break
 
-        drop = cost - new_cost
-        p, residual, jac, cost = new_p, new_residual, new_jac, new_cost
-        lam = max(lam / 10.0, 1e-12)
-        if (
-            cost <= cost_floor
-            or drop <= FIT_MIN_DROP * max(cost, 1e-300)
-            or float(np.linalg.norm(step)) <= FIT_MIN_STEP
-        ):
-            converged = True
-            break
+            drop = cost - new_cost
+            p, parts, weighted, cost = new_p, new_parts, new_weighted, new_cost
+            lam = max(lam / 10.0, 1e-12)
+            if (
+                cost <= cost_floor
+                or drop <= FIT_MIN_DROP * max(cost, 1e-300)
+                or math.sqrt(float(step @ step)) <= FIT_MIN_STEP
+            ):
+                converged = True
+                break
 
     params = Gauss2(
         alpha1=float(p[0]),
@@ -614,23 +684,25 @@ def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
         beta2=float(p[4]),
         gamma2=float(np.exp(p[5])),
     )
-    rms = math.sqrt(cost / xs.size)
+    rms = math.sqrt(cost / n)
     return Gauss2Fit(params=params, residual=rms, converged=converged, iterations=iterations)
 
 
-def _seed_gauss2(xs: np.ndarray, u_col: np.ndarray, center: float) -> Gauss2:
+def _seed_gauss2(ux: np.ndarray, counts: np.ndarray, u_col: np.ndarray, center: float) -> Gauss2:
     """Starting point for fitting one membership column.
 
-    spread is the cluster's membership-weighted standard deviation, floored
-    away from 0.  Both bumps get height 0.5 and width spread and sit half a
-    spread either side of the center.  Bumps seeded on top of each other
-    would stay exact copies under Gauss-Newton until rounding told them
-    apart, so the fit would stop on a symmetric saddle whose parameters
-    depend on the BLAS build.
+    ux are the distinct sorted values, counts how often each occurs and
+    u_col their memberships.  spread is the cluster's count- and
+    membership-weighted standard deviation, floored away from 0.  Both
+    bumps get height 0.5 and width spread and sit half a spread either side
+    of the center.  Bumps seeded on top of each other would stay exact
+    copies under Gauss-Newton until rounding told them apart, so the fit
+    would stop on a symmetric saddle whose parameters depend on the BLAS
+    build.
     """
-    w = u_col**FUZZIFIER
-    var = float((w * (xs - center) ** 2).sum() / w.sum())
-    floor = 0.01 * max(float(np.ptp(xs)), 1e-9)
+    w = u_col**FUZZIFIER * counts
+    var = float((w * (ux - center) ** 2).sum() / w.sum())
+    floor = 0.01 * max(float(ux[-1] - ux[0]), 1e-9)
     spread = max(math.sqrt(var), floor)
     return Gauss2(
         alpha1=0.5,
@@ -684,12 +756,16 @@ def elicit_variable(
             "a linguistic variable needs two terms or more, so try a smaller radius"
         )
     model = fcm(xs, k=seeds.size, init=seeds)
+    # the memberships of the distinct values, which equal values share
+    ux, counts = np.unique(xs, return_counts=True)
+    distinct = np.empty((ux.size, seeds.size))
+    distinct[np.searchsorted(ux, xs)] = model.memberships
 
     fits = []
     terms = {}
     for col, center in enumerate(model.centers):
         u_col = model.memberships[:, col]
-        init = _seed_gauss2(xs, u_col, float(center))
+        init = _seed_gauss2(ux, counts, distinct[:, col], float(center))
         fit = fit_gauss2(xs, u_col, init)
         if fit.residual > RESIDUAL_CEILING:
             raise ElicitationError(

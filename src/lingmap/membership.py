@@ -11,16 +11,11 @@ import numpy as np
 from .errors import DefinitionError
 
 
-def _bump(x, b, g):
-    """exp(-(x - b)^2 / g^2), for the Jacobian of the Gauss2 fitter."""
-    return np.exp(-((x - b) ** 2) / g**2)
-
-
 def _gauss2_params(shapes) -> np.ndarray:
     """[3, 2, shapes]: alpha, beta and gamma**2 of both bumps of each Gauss2.
 
-    gamma**2 is a Python float square, as in _bump: it can differ from the
-    numpy square in the last bit.
+    gamma**2 is a Python float square, as in the Gauss2 fit of
+    lingmap.elicit: it can differ from the numpy square in the last bit.
     """
     return np.array([
         [[s.alpha1 for s in shapes], [s.alpha2 for s in shapes]],

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,17 @@ class TestLargeSamples:
         assert len(result.variable.terms) == 2
         assert elapsed < 20.0, f"took {elapsed:.2f}s"
 
+    def test_elicit_variable_on_integer_scores(self):
+        # the paper's scores are integers 0-100: 101 distinct values, so
+        # fuzzy c-means and the fits run on 101 weighted values, not 200 000
+        xs = np.random.default_rng(100).integers(0, 101, 200_000).astype(float)
+        start = time.perf_counter()
+        result = elicit_variable(TrainingSet(xs), "x", Interval(0.0, 100.0))
+        elapsed = time.perf_counter() - start
+        assert len(result.variable.terms) >= 2
+        assert result.clusters.memberships.shape == (200_000, len(result.variable.terms))
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
 
 class TestFcm:
     def test_memberships_sum_to_one(self, two_blobs):
@@ -345,21 +357,127 @@ class TestFcm:
         model = fcm(xs, k=k)
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_named(self, bad):
+        # NaN gave centers [nan, nan], inf a NaN membership row
+        with pytest.raises(DatasetError, match="non-finite value at row 2"):
+            fcm([0.0, bad, 1.0, 2.0], 2)
+
+    def test_span_without_finite_square_is_refused(self):
+        # the squared distances overflowed, and two membership rows were NaN
+        with pytest.raises(DatasetError, match="span from 0.0 to 2e[+]200 has no finite square"):
+            fcm([0.0, 1e200, 2e200, 5.0], 2)
+
+    def test_wide_span_with_finite_square_clusters(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fcm([0.0, 1e150, 2e150, 3e150, 5.0], 2)
+        assert np.all(np.isfinite(model.centers))
+        assert np.all(np.isfinite(model.memberships))
+        np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestDistinctValueWeighting:
+    """Stages 2 and 3 run over distinct values weighted by their counts."""
+
+    @pytest.fixture
+    def sample(self):
+        rng = np.random.default_rng(12)
+        return np.concatenate([rng.normal(30.0, 8.0, 60), rng.normal(70.0, 8.0, 60)])
+
+    def test_fcm_on_repeated_rows_matches_distinct(self, sample):
+        once = fcm(sample, k=2, init=[30.0, 70.0])
+        thrice = fcm(np.tile(sample, 3), k=2, init=[30.0, 70.0])
+        np.testing.assert_allclose(thrice.centers, once.centers, rtol=1e-12)
+        # memberships near 0 move by the centers' rounding over their own
+        # size, so they are held to 1e-12 of the unit membership scale
+        np.testing.assert_allclose(
+            thrice.memberships, np.tile(once.memberships, (3, 1)), rtol=1e-12, atol=1e-12
+        )
+        assert thrice.iterations == once.iterations
+
+    def test_unequal_counts_weigh_as_rows(self, individualism_data):
+        # 110 scores, 53 distinct, repeated up to 8 times: each repeat must
+        # count as the loop oracle counts its row
+        xs = individualism_data.values
+        model = fcm(xs, k=2, init=[20.0, 70.0])
+        centers, u, objective = reference_fcm(list(xs), 2, [20.0, 70.0])
+        np.testing.assert_allclose(model.centers, centers, rtol=1e-12)
+        np.testing.assert_allclose(model.memberships, u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(model.objective_path, objective, rtol=1e-12)
+
+    def test_fit_on_repeated_rows_matches_distinct(self, sample):
+        ys = gauss2_sum(sample, 0.7, 28.0, 6.0, 0.4, 40.0, 9.0) + 0.01 * np.sin(sample)
+        init = Gauss2(0.5, 26.0, 8.0, 0.5, 42.0, 8.0)
+        once = fit_gauss2(sample, ys, init)
+        thrice = fit_gauss2(np.repeat(sample, 3), np.repeat(ys, 3), init)
+        assert thrice.iterations == once.iterations
+        assert thrice.residual == pytest.approx(once.residual, rel=1e-12)
+        for f in ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2"):
+            assert getattr(thrice.params, f) == pytest.approx(getattr(once.params, f), rel=1e-12)
+
+    def test_row_order_changes_no_bit(self, individualism_data):
+        xs = individualism_data.values
+        perm = np.random.default_rng(3).permutation(xs.size)
+        a = fcm(xs, k=2, init=[20.0, 70.0])
+        b = fcm(xs[perm], k=2, init=[20.0, 70.0])
+        assert a.centers.tolist() == b.centers.tolist()
+        assert a.memberships[perm].tolist() == b.memberships.tolist()
+
+        u = a.memberships[:, 0]
+        init = Gauss2(0.5, 15.0, 15.0, 0.5, 30.0, 15.0)
+        assert fit_gauss2(xs, u, init) == fit_gauss2(xs[perm], u[perm], init)
+
+        one = elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
+        other = elicit_variable(TrainingSet(xs[perm]), "x", Interval(0.0, 100.0))
+        assert one.variable == other.variable
+        assert one.fits == other.fits
+        assert one.clusters.memberships[perm].tolist() == other.clusters.memberships.tolist()
+
+    def test_membership_rows_follow_input_order(self):
+        xs = np.array([9.0, 1.0, 5.0, 1.0, 9.0, 2.0, 5.0, 8.0, 1.0])
+        model = fcm(xs, k=2)
+        np.testing.assert_allclose(model.memberships, bezdek_rows(xs, model.centers), rtol=1e-12)
+        for i, j in [(1, 3), (1, 8), (0, 4), (2, 6)]:
+            assert model.memberships[i].tolist() == model.memberships[j].tolist()
+        assert model.memberships[0, 1] > 0.5 and model.memberships[1, 0] > 0.5
+
+    def test_equal_x_with_different_y_is_not_merged(self):
+        # every row counts in the fit and its RMS, including both y at one x
+        xs = np.repeat(np.linspace(0.0, 10.0, 8), 2)
+        ys = gauss2_sum(xs, 0.6, 3.0, 2.0, 0.4, 7.0, 2.0) + np.tile([0.05, -0.05], 8)
+        fit = fit_gauss2(xs, ys, Gauss2(0.5, 3.5, 2.0, 0.5, 6.5, 2.0))
+        p = fit.params
+        direct = gauss2_sum(xs, p.alpha1, p.beta1, p.gamma1, p.alpha2, p.beta2, p.gamma2) - ys
+        assert fit.residual == pytest.approx(math.sqrt(np.mean(direct**2)), rel=1e-9)
+        assert fit.residual >= 0.05 * (1.0 - 1e-9)
+
+    def test_packaged_iteration_counts(self, individualism_data):
+        result = elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
+        assert result.clusters.iterations == 18
+        assert [fit.iterations for fit in result.fits] == [37, 32]
+
+
+def bezdek_rows(xs, centers, m=2.0):
+    """Bezdek's memberships of each of xs, from the centers, one plain row at a time."""
+    rows = []
+    for x in xs:
+        d2 = [(x - c) ** 2 for c in centers]
+        if any(d == 0.0 for d in d2):
+            hits = [1.0 if d == 0.0 else 0.0 for d in d2]
+            rows.append([h / sum(hits) for h in hits])
+        else:
+            inv = [d ** (-1.0 / (m - 1.0)) for d in d2]
+            rows.append([i / sum(inv) for i in inv])
+    return rows
+
 
 def reference_fcm(xs, k, init, m=2.0, tol=1e-6, max_iter=500):
     """Plain-loop fuzzy c-means used as an independent oracle."""
     centers = [float(c) for c in init]
     objective = []
     for _ in range(max_iter):
-        u = []
-        for x in xs:
-            d2 = [(x - c) ** 2 for c in centers]
-            if any(d == 0.0 for d in d2):
-                hits = [1.0 if d == 0.0 else 0.0 for d in d2]
-                u.append([h / sum(hits) for h in hits])
-            else:
-                inv = [d ** (-1.0 / (m - 1.0)) for d in d2]
-                u.append([i / sum(inv) for i in inv])
+        u = bezdek_rows(xs, centers, m)
         objective.append(
             sum(
                 u[i][j] ** m * (xs[i] - centers[j]) ** 2
@@ -376,16 +494,7 @@ def reference_fcm(xs, k, init, m=2.0, tol=1e-6, max_iter=500):
         centers = new_centers
         if shift < tol:
             break
-    final_u = []
-    for x in xs:
-        d2 = [(x - c) ** 2 for c in centers]
-        if any(d == 0.0 for d in d2):
-            hits = [1.0 if d == 0.0 else 0.0 for d in d2]
-            final_u.append([h / sum(hits) for h in hits])
-        else:
-            inv = [d ** (-1.0 / (m - 1.0)) for d in d2]
-            final_u.append([i / sum(inv) for i in inv])
-    return centers, final_u, objective
+    return centers, bezdek_rows(xs, centers, m), objective
 
 
 class TestFcmAgainstReference:
@@ -533,11 +642,12 @@ class TestFitStability:
     @pytest.mark.parametrize("col", [0, 1])
     def test_one_ulp_change_barely_moves_parameters(self, individualism_data, elicited, col):
         xs = individualism_data.values
+        ux, first, counts = np.unique(xs, return_index=True, return_counts=True)
         u_col = elicited.clusters.memberships[:, col]
         center = float(elicited.clusters.centers[col])
         base = elicited.fits[col].params
         for nudged in (np.nextafter(u_col, 2.0), np.nextafter(u_col, -1.0)):
-            init = _seed_gauss2(xs, nudged, center)
+            init = _seed_gauss2(ux, counts, nudged[first], center)
             fit = fit_gauss2(xs, nudged, init)
             assert fit.converged
             for f in ("alpha1", "beta1", "gamma1", "alpha2", "beta2", "gamma2"):
@@ -545,9 +655,13 @@ class TestFitStability:
 
     @pytest.mark.parametrize("col", [0, 1])
     def test_bumps_do_not_collapse(self, individualism_data, elicited, col):
+        ux, first, counts = np.unique(
+            individualism_data.values, return_index=True, return_counts=True
+        )
         spread = _seed_gauss2(
-            individualism_data.values,
-            elicited.clusters.memberships[:, col],
+            ux,
+            counts,
+            elicited.clusters.memberships[first, col],
             float(elicited.clusters.centers[col]),
         ).gamma1
         p = elicited.fits[col].params

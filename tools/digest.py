@@ -7,8 +7,10 @@ bits for:
 * seeded `evaluate` batches of 1, 17, 65, 66 and 1000 profiles on each
   packaged case (sizes on both sides of the kernel's chunk step);
 * 200 single-profile `evaluate` calls, 100 on each case;
-* the elicitation of the packaged individualism scores: the catalog text,
-  the cluster centres and the membership matrix.
+* three elicitations, each hashed as its catalog text, cluster centres
+  and membership matrix: the packaged individualism scores, a seeded
+  two-mode sample of 2000 distinct values (the shape of the benchmark's
+  `elicit-large` samples), and 200 000 seeded integers from 0 to 100.
 
 A change that claims "the same bits" runs this on the parent and on the
 change and compares the two lines.  lingmap is imported from the `src`
@@ -30,6 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from lingmap import (  # noqa: E402
     Catalog,
     Interval,
+    TrainingSet,
     dumps_catalog,
     elicit_variable,
     evaluate,
@@ -53,6 +56,20 @@ def profiles(case: int, n: int, seed: int) -> dict:
     return values
 
 
+def elicitation_samples() -> list:
+    """(name, TrainingSet) of each elicitation that is hashed."""
+    scores = load_training_csv(os.path.join(FIXTURES, "hofstede_individualism.csv"))
+    rng = np.random.default_rng(2000)
+    two_modes = np.concatenate([rng.normal(30.0, 8.0, 1000), rng.normal(70.0, 8.0, 1000)])
+    two_modes = np.unique(np.clip(two_modes, 0.0, 100.0))
+    integers = np.random.default_rng(200_000).integers(0, 101, 200_000).astype(float)
+    return [
+        ("individualism", scores),
+        ("two_modes", TrainingSet(two_modes)),
+        ("integers", TrainingSet(integers)),
+    ]
+
+
 def main() -> None:
     digest = hashlib.sha256()
     systems = {
@@ -68,11 +85,11 @@ def main() -> None:
             one = {name: float(column[k]) for name, column in batch.items()}
             digest.update(np.float64(evaluate(fis, one)["distance"]).tobytes())
 
-    data = load_training_csv(os.path.join(FIXTURES, "hofstede_individualism.csv"))
-    result = elicit_variable(data, "individualism", Interval(0.0, 100.0))
-    digest.update(dumps_catalog(Catalog(variables={"individualism": result.variable})).encode())
-    digest.update(np.ascontiguousarray(result.clusters.centers, dtype=float).tobytes())
-    digest.update(np.ascontiguousarray(result.clusters.memberships, dtype=float).tobytes())
+    for name, data in elicitation_samples():
+        result = elicit_variable(data, name, Interval(0.0, 100.0))
+        digest.update(dumps_catalog(Catalog(variables={name: result.variable})).encode())
+        digest.update(np.ascontiguousarray(result.clusters.centers, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(result.clusters.memberships, dtype=float).tobytes())
     print(digest.hexdigest())
 
 
