@@ -22,7 +22,7 @@ from lingmap import (
     subtractive_clusters,
 )
 from lingmap import elicit
-from lingmap.elicit import _seed_gauss2
+from lingmap.elicit import RESIDUAL_CEILING, _seed_gauss2
 
 sample_lists = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -368,6 +368,18 @@ class TestFcm:
         with pytest.raises(DatasetError, match="span from 0.0 to 2e[+]200 has no finite square"):
             fcm([0.0, 1e200, 2e200, 5.0], 2)
 
+    @pytest.mark.parametrize("init", [[math.nan, 1.0], [math.inf, 1.0]])
+    def test_non_finite_init_is_refused(self, init):
+        # NaN gave centers [1, nan] and NaN membership rows; inf warned on
+        # its way to NaN
+        with pytest.raises(DefinitionError, match="non-finite initial center"):
+            fcm([0.0, 1.0, 2.0, 3.0], 2, init=init)
+
+    def test_init_without_finite_squared_distance_is_refused(self):
+        # the squared distances overflowed, and the memberships went NaN
+        with pytest.raises(DefinitionError, match="too far from the data"):
+            fcm([0.0, 1.0, 2.0, 3.0], 2, init=[1e300, -1e300])
+
     def test_wide_span_with_finite_square_clusters(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -452,10 +464,22 @@ class TestDistinctValueWeighting:
         assert fit.residual == pytest.approx(math.sqrt(np.mean(direct**2)), rel=1e-9)
         assert fit.residual >= 0.05 * (1.0 - 1e-9)
 
-    def test_packaged_iteration_counts(self, individualism_data):
+    def test_packaged_iteration_counts(self, individualism_data, monkeypatch):
+        # the gain-ratio damping rarely retakes a step: 56 model evaluations
+        # for 42 accepted steps, where lambda / 10 after each step took 139
+        # for 69
+        calls = []
+        model = elicit._gauss2_model
+
+        def counted(xs, p):
+            calls.append(1)
+            return model(xs, p)
+
+        monkeypatch.setattr(elicit, "_gauss2_model", counted)
         result = elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
         assert result.clusters.iterations == 18
-        assert [fit.iterations for fit in result.fits] == [37, 32]
+        assert [fit.iterations for fit in result.fits] == [21, 21]
+        assert len(calls) == 56
 
 
 def bezdek_rows(xs, centers, m=2.0):
@@ -580,10 +604,12 @@ class TestElicitVariable:
         assert result.warnings == ()
 
     def test_thin_coverage_between_modes_warns(self):
-        xs = np.concatenate([np.linspace(0.0, 4.0, 30), np.linspace(96.0, 100.0, 30)])
+        # each term fits its step-shaped column closely and is 0 far from
+        # its mode, so nothing covers the middle of the empty gap
+        xs = np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(99.0, 100.0, 30)])
         result = elicit_variable(TrainingSet(xs), "x", Interval(0.0, 100.0))
         assert result.warnings == (
-            "coverage of 'x' dips to 0.176 near 50, below the floor 0.2",
+            "coverage of 'x' dips to 0.000 near 50, below the floor 0.2",
         )
 
     def test_terms_named_in_ascending_center_order(self, two_blobs):
@@ -623,6 +649,62 @@ class TestElicitVariable:
         a = elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
         b = elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
         assert a.variable == b.variable
+
+
+# 110 integer scores from two modes.  A damped trial step put a log-width
+# near 556 here, and squaring exp(556) as a Python float raised OverflowError
+OVERFLOW_SAMPLE = [
+    1, 10, 10, 11, 12, 13, 14, 15, 15, 16, 16, 16, 16, 17, 17, 17, 17, 18, 19, 19,
+    20, 20, 20, 20, 21, 21, 21, 22, 22, 22, 23, 23, 23, 23, 24, 24, 24, 25, 25, 26,
+    26, 27, 27, 27, 27, 27, 28, 28, 28, 28, 29, 30, 31, 32, 32, 33, 34, 34, 34, 34,
+    35, 36, 37, 37, 38, 48, 50, 51, 56, 60, 60, 61, 61, 62, 63, 66, 67, 68, 69, 69,
+    69, 69, 70, 70, 70, 71, 71, 71, 71, 73, 73, 74, 74, 75, 75, 75, 76, 76, 76, 76,
+    77, 77, 78, 79, 79, 79, 81, 82, 83, 84,
+]  # fmt: skip
+
+# 110 integer scores from two modes on which the fit accepted a step that
+# collapsed a width to 0.0, so building its Gauss2 raised DefinitionError
+COLLAPSE_SAMPLE = [
+    47, 48, 38, 30, 62, 56, 40, 39, 40, 51, 43, 41, 35, 38, 45, 43, 41, 56, 35, 40,
+    50, 48, 51, 44, 40, 48, 46, 45, 40, 47, 48, 36, 52, 39, 44, 36, 58, 36, 43, 45,
+    38, 50, 35, 45, 50, 32, 51, 43, 42, 42, 61, 40, 39, 35, 52, 59, 59, 68, 58, 61,
+    57, 62, 60, 52, 59, 48, 66, 64, 52, 59, 64, 62, 73, 50, 51, 56, 41, 63, 49, 52,
+    62, 59, 66, 56, 51, 79, 48, 54, 70, 54, 50, 59, 56, 60, 66, 56, 62, 60, 68, 59,
+    69, 50, 50, 56, 62, 55, 66, 64, 61, 55,
+]  # fmt: skip
+
+
+def two_mode_integers(seed: int) -> np.ndarray:
+    """110 seeded integer scores on [0, 100] from two modes of unequal size."""
+    rng = np.random.default_rng(seed)
+    low, high = rng.uniform(15.0, 50.0), rng.uniform(50.0, 85.0)
+    n_low = int(rng.integers(30, 81))
+    xs = np.concatenate([rng.normal(low, 8.0, n_low), rng.normal(high, 8.0, 110 - n_low)])
+    return np.clip(np.round(xs), 0.0, 100.0)
+
+
+class TestDegenerateTrialWidths:
+    """A trial step whose squared width is 0 or inf is rejected, not raised."""
+
+    @pytest.mark.parametrize("sample", [OVERFLOW_SAMPLE, COLLAPSE_SAMPLE])
+    def test_fault_sample_elicits(self, sample):
+        result = elicit_variable(TrainingSet(np.array(sample, float)), "x", Interval(0.0, 100.0))
+        assert len(result.variable.terms) >= 2
+        for fit in result.fits:
+            assert fit.converged
+            assert fit.residual <= RESIDUAL_CEILING
+
+    def test_two_mode_integer_sweep_returns_or_names_its_failure(self):
+        # seeds 83 and 223 raised DefinitionError (a width of 0.0), 203 and
+        # 224 OverflowError; the only failure left is the one-cluster refusal
+        refused = 0
+        for seed in range(300):
+            try:
+                elicit_variable(TrainingSet(two_mode_integers(seed)), "x", Interval(0.0, 100.0))
+            except ElicitationError as err:
+                assert "found one cluster" in str(err)
+                refused += 1
+        assert refused < 30
 
 
 class TestFitStability:

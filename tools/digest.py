@@ -7,10 +7,13 @@ bits for:
 * seeded `evaluate` batches of 1, 17, 65, 66 and 1000 profiles on each
   packaged case (sizes on both sides of the kernel's chunk step);
 * 200 single-profile `evaluate` calls, 100 on each case;
-* three elicitations, each hashed as its catalog text, cluster centres
+* five elicitations, each hashed as its catalog text, cluster centres
   and membership matrix: the packaged individualism scores, a seeded
   two-mode sample of 2000 distinct values (the shape of the benchmark's
-  `elicit-large` samples), and 200 000 seeded integers from 0 to 100.
+  `elicit-large` samples), 200 000 seeded integers from 0 to 100, and two
+  samples of 110 integer scores on which the Gauss2 fit once stepped to a
+  width whose square overflows (`bench/data/gauss2_overflow.csv`) or is 0
+  (`COLLAPSE` below).
 
 A change that claims "the same bits" runs this on the parent and on the
 change and compares the two lines.  lingmap is imported from the `src`
@@ -40,9 +43,19 @@ from lingmap import (  # noqa: E402
     load_training_csv,
 )
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "lingmap", "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXTURES = os.path.join(ROOT, "src", "lingmap", "fixtures")
 BATCH_SIZES = (1, 17, 65, 66, 1000)
 SINGLE_CALLS = 100  # per case
+# 110 integer scores from two modes on which the fit once collapsed a width to 0
+COLLAPSE = [
+    47, 48, 38, 30, 62, 56, 40, 39, 40, 51, 43, 41, 35, 38, 45, 43, 41, 56, 35, 40,
+    50, 48, 51, 44, 40, 48, 46, 45, 40, 47, 48, 36, 52, 39, 44, 36, 58, 36, 43, 45,
+    38, 50, 35, 45, 50, 32, 51, 43, 42, 42, 61, 40, 39, 35, 52, 59, 59, 68, 58, 61,
+    57, 62, 60, 52, 59, 48, 66, 64, 52, 59, 64, 62, 73, 50, 51, 56, 41, 63, 49, 52,
+    62, 59, 66, 56, 51, 79, 48, 54, 70, 54, 50, 59, 56, 60, 66, 56, 62, 60, 68, 59,
+    69, 50, 50, 56, 62, 55, 66, 64, 61, 55,
+]  # fmt: skip
 
 
 def profiles(case: int, n: int, seed: int) -> dict:
@@ -67,6 +80,8 @@ def elicitation_samples() -> list:
         ("individualism", scores),
         ("two_modes", TrainingSet(two_modes)),
         ("integers", TrainingSet(integers)),
+        ("overflow", load_training_csv(os.path.join(ROOT, "bench", "data", "gauss2_overflow.csv"))),
+        ("collapse", TrainingSet(np.array(COLLAPSE, dtype=float))),
     ]
 
 
