@@ -3,8 +3,8 @@
 The pipeline has three stages:
 
 1. subtractive clustering picks the number of clusters and seed centers,
-2. fuzzy c-means refines the centers and produces a membership column per
-   cluster,
+2. fuzzy c-means refines exactly those centers and produces a membership
+   column per cluster,
 3. a damped Gauss-Newton fit compresses each membership column into a
    two-term Gaussian, which becomes one linguistic term.
 
@@ -38,6 +38,10 @@ cannot tell from the strongest.  So the centers equal that formulation's
 bit for bit.  Those values are a handful on most data, but most of the
 values of evenly spaced data at small radii, whose potentials tie to
 within rounding.
+
+Stage 2 makes no start of its own: fcm runs from the centers it is given,
+which must be distinct and within the data's range, as the distinct data
+values stage 1 picks are.
 
 fcm and fit_gauss2 each sort their rows once, in O(n log n); an
 iteration then takes a number of numpy calls that does not grow with n,
@@ -479,15 +483,17 @@ def _fcm_memberships(d2: np.ndarray) -> np.ndarray:
     return u
 
 
-def fcm(values, k: int, init=None) -> ClusterModel:
-    """Fuzzy c-means on 1-D data with a deterministic start.
+def fcm(values, init) -> ClusterModel:
+    """Fuzzy c-means on 1-D data, started from the k = len(init) centers init.
 
-    init supplies the starting centers (e.g. from subtractive_clusters);
-    when missing or shorter than k, evenly spaced quantiles of the data are
-    used instead.  Iteration stops when the largest center movement drops
-    below FCM_TOL; hitting FCM_MAX_ITER first sets converged=False rather
-    than raising.  Centers come back sorted ascending with membership
-    columns permuted to match.
+    A start holds 1 to (number of distinct values) centers, distinct and
+    within [min, max] of the data, as subtractive_clusters' are; any other
+    raises DefinitionError.  Iteration stops when the largest center
+    movement drops below FCM_TOL; hitting FCM_MAX_ITER first sets
+    converged=False rather than raising.  Centers that coincide at the end
+    raise ElicitationError rather than return identical membership columns.
+    Centers come back sorted ascending with membership columns permuted to
+    match.
 
     Equal values have equal memberships, so the iteration runs over the
     distinct sorted values, each weighted by its count (Eschrich, Ke, Hall
@@ -497,41 +503,26 @@ def fcm(values, k: int, init=None) -> ClusterModel:
     values; the memberships are then spread back to one row per
     observation, in input order.  Permuting the input changes no bit.
     Non-finite values, and data whose span has no finite square (so no
-    finite squared distance), raise DatasetError; a non-finite init, or
-    one with no finite squared distance to the data, raises
-    DefinitionError.
+    finite squared distance), raise DatasetError.
     """
     xs = np.asarray(values, dtype=float).ravel()
     if xs.size == 0:
         raise DatasetError("training set is empty")
     _require_finite_rows(xs)
-    if k < 1:
-        raise DefinitionError("k must be at least 1")
-    if k > xs.size:
-        raise DefinitionError(f"cannot form {k} clusters from {xs.size} observations")
     ux, counts = np.unique(xs, return_counts=True)
     lo, hi = float(ux[0]), float(ux[-1])
     if not math.isfinite((hi - lo) * (hi - lo)):
         raise DatasetError(f"the data span from {lo!r} to {hi!r} has no finite square")
     counts = counts.astype(float)
 
-    if init is not None and len(init) >= k:
-        centers = np.asarray(init, dtype=float).ravel()[:k].copy()
-        if not np.all(np.isfinite(centers)):
-            raise DefinitionError(f"non-finite initial center in {centers.tolist()}")
-        reach = max(hi - float(centers.min()), float(centers.max()) - lo)
-        if not math.isfinite(reach * reach):
-            raise DefinitionError(
-                f"initial centers {centers.tolist()} lie too far from the data, "
-                f"from {lo!r} to {hi!r}, for a finite squared distance"
-            )
-    else:
-        centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
-    if np.unique(centers).size < k:
-        # coincident seeds would never separate; nudge onto quantiles
-        centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
-        if np.unique(centers).size < k:
-            centers = centers + np.arange(k) * 1e-9 * max(hi - lo, 1.0)
+    centers = np.array(init, dtype=float).ravel()
+    # NaN and infinities fail the range test too
+    inside = np.all((centers >= lo) & (centers <= hi))
+    if not (1 <= centers.size <= ux.size and inside and np.unique(centers).size == centers.size):
+        raise DefinitionError(
+            f"a start needs 1 to {ux.size} distinct centers within the data's range "
+            f"[{lo!r}, {hi!r}], got {centers.tolist()}"
+        )
 
     objective_path = []
     converged = False
@@ -555,6 +546,10 @@ def fcm(values, k: int, init=None) -> ClusterModel:
     u = _fcm_memberships((ux - centers[:, None]) ** 2)
     order = np.argsort(centers, kind="stable")
     centers = centers[order]
+    if np.any(centers[1:] == centers[:-1]):
+        raise ElicitationError(
+            f"fuzzy c-means merged clusters: the centers {centers.tolist()} coincide"
+        )
     u = u[order].T[np.searchsorted(ux, xs)]
     centers.setflags(write=False)
     u.setflags(write=False)
@@ -799,7 +794,7 @@ def elicit_variable(
             f"subtractive clustering found one cluster in '{name}' at radius {radius}; "
             "a linguistic variable needs two terms or more, so try a smaller radius"
         )
-    model = fcm(xs, k=seeds.size, init=seeds)
+    model = fcm(xs, seeds)
     # the memberships of the distinct values, which equal values share
     ux, counts = np.unique(xs, return_counts=True)
     distinct = np.empty((ux.size, seeds.size))
@@ -823,7 +818,7 @@ def elicit_variable(
 
     warnings = []
     hull = np.linspace(float(xs.min()), float(xs.max()), 101)
-    probe = np.unique(np.concatenate([hull, xs]))
+    probe = np.union1d(hull, ux)
     coverage = _coverage(variable, probe)
     worst = int(np.argmin(coverage))
     if coverage[worst] < COVERAGE_FLOOR:

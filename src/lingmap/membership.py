@@ -12,15 +12,11 @@ from .errors import DefinitionError
 
 
 def _gauss2_params(shapes) -> np.ndarray:
-    """[3, 2, shapes]: alpha, beta and gamma**2 of both bumps of each Gauss2.
-
-    gamma**2 is a Python float square, as in the Gauss2 fit of
-    lingmap.elicit: it can differ from the numpy square in the last bit.
-    """
+    """[3, 2, shapes]: alpha, beta and gamma * gamma of both bumps of each Gauss2."""
     return np.array([
         [[s.alpha1 for s in shapes], [s.alpha2 for s in shapes]],
         [[s.beta1 for s in shapes], [s.beta2 for s in shapes]],
-        [[s.gamma1**2 for s in shapes], [s.gamma2**2 for s in shapes]],
+        [[s.gamma1 * s.gamma1 for s in shapes], [s.gamma2 * s.gamma2 for s in shapes]],
     ])
 
 
@@ -60,19 +56,24 @@ class Trapezoid:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (self.a <= self.b <= self.c <= self.d):
+        # an edge width that overflows would divide to 0 or NaN in __call__
+        widths = (self.b - self.a, self.d - self.c)
+        if not (self.a <= self.b <= self.c <= self.d and all(map(math.isfinite, widths))):
             raise DefinitionError(
-                "trapezoid breakpoints must satisfy a <= b <= c <= d, got "
-                f"({self.a}, {self.b}, {self.c}, {self.d})"
+                "trapezoid breakpoints must satisfy a <= b <= c <= d, with finite edge "
+                f"widths b - a and d - c, got ({self.a}, {self.b}, {self.c}, {self.d})"
             )
 
     def __call__(self, x):
-        # the lesser of the rising and the falling edge, clamped into [0, 1];
-        # a vertical edge is a step, so no breakpoint is divided by zero
+        # the lesser of the rising and the falling edge; x is clamped onto
+        # each edge first, so each quotient lies in [0, 1] and cannot
+        # overflow however narrow the edge.  A vertical edge is a step, so
+        # no breakpoint is divided by zero
         arr = np.asarray(x, dtype=float)
-        up = (arr - self.a) / (self.b - self.a) if self.b > self.a else (arr >= self.b) * 1.0
-        down = (self.d - arr) / (self.d - self.c) if self.d > self.c else (arr <= self.c) * 1.0
-        return np.maximum(np.minimum(np.minimum(up, down), 1.0), 0.0)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        up = (np.minimum(np.maximum(arr, a), b) - a) / (b - a) if b > a else (arr >= b) * 1.0
+        down = (d - np.minimum(np.maximum(arr, c), d)) / (d - c) if d > c else (arr <= c) * 1.0
+        return np.minimum(up, down)
 
 
 @dataclass(frozen=True)

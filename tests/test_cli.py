@@ -465,6 +465,18 @@ class TestValidate:
         assert err.startswith("error: /variables/0/terms/0/mf: gauss2 widths")
         assert "Traceback" not in err
 
+    def test_trapezoid_edge_width_that_overflows(self, capsys, tmp_path, case1_path):
+        with open(case1_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["variables"][1]["terms"][0]["mf"].update(a=-1e308, b=1e308, c=1e308, d=1e308)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /variables/1/terms/0/mf: trapezoid breakpoints")
+        assert "finite edge widths" in err
+        assert "Traceback" not in err
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -304,86 +304,148 @@ class TestLargeSamples:
         assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
+@st.composite
+def samples_with_start(draw):
+    """A sample list and a start of one or two of its distinct values."""
+    values = draw(sample_lists)
+    distinct = sorted(set(values))
+    k = draw(st.integers(1, min(2, len(distinct))))
+    start = draw(st.lists(st.sampled_from(distinct), min_size=k, max_size=k, unique=True))
+    return values, start
+
+
 class TestFcm:
-    def test_memberships_sum_to_one(self, two_blobs):
-        model = fcm(two_blobs, k=2)
+    @pytest.fixture
+    def start(self, two_blobs):
+        # the quartiles of the blobs, one in each
+        return np.quantile(two_blobs, [0.25, 0.75])
+
+    def test_memberships_sum_to_one(self, two_blobs, start):
+        model = fcm(two_blobs, start)
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_centers_sorted_with_matching_columns(self, two_blobs):
-        model = fcm(two_blobs, k=2)
+    def test_centers_sorted_with_matching_columns(self, two_blobs, start):
+        model = fcm(two_blobs, start[::-1])
         assert model.centers[0] < model.centers[1]
         low_points = two_blobs < 30.0
         # points in the low blob must prefer the low center's column
         assert np.all(model.memberships[low_points, 0] > 0.5)
         assert np.all(model.memberships[~low_points, 1] > 0.5)
 
-    def test_objective_nonincreasing(self, two_blobs):
-        model = fcm(two_blobs, k=2)
+    def test_objective_nonincreasing(self, two_blobs, start):
+        model = fcm(two_blobs, start)
         path = np.array(model.objective_path)
         assert np.all(np.diff(path) <= 1e-9)
 
-    def test_converged_flag(self, two_blobs, monkeypatch):
-        assert fcm(two_blobs, k=2).converged
+    def test_converged_flag(self, two_blobs, start, monkeypatch):
+        assert fcm(two_blobs, start).converged
         monkeypatch.setattr(elicit, "FCM_MAX_ITER", 1)
-        starved = fcm(two_blobs, k=2)
+        starved = fcm(two_blobs, start)
         assert not starved.converged
         assert starved.iterations == 1
 
     def test_coincident_point_gets_full_membership(self):
         xs = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
-        model = fcm(xs, k=2)
+        model = fcm(xs, [0.0, 10.0])
         # centers land exactly on the two values; memberships must be crisp
         np.testing.assert_allclose(model.centers, [0.0, 10.0], atol=1e-9)
         np.testing.assert_allclose(model.memberships[0], [1.0, 0.0], atol=1e-9)
 
     def test_k_must_fit_data(self):
-        with pytest.raises(DefinitionError):
-            fcm(np.array([1.0, 2.0]), k=3)
-        with pytest.raises(DefinitionError):
-            fcm(np.array([1.0, 2.0]), k=0)
+        # k is the length of the start: 1 up to the number of distinct values
+        with pytest.raises(DefinitionError, match="1 to 2 distinct centers"):
+            fcm(np.array([1.0, 2.0, 2.0]), [1.0, 1.5, 2.0])
+        with pytest.raises(DefinitionError, match="1 to 2 distinct centers"):
+            fcm(np.array([1.0, 2.0, 2.0]), [])
 
     def test_init_seeds_are_used(self, two_blobs):
-        seeded = fcm(two_blobs, k=2, init=np.array([10.0, 50.0]))
-        default = fcm(two_blobs, k=2)
-        np.testing.assert_allclose(seeded.centers, default.centers, atol=1e-4)
+        seeded = fcm(two_blobs, [10.0, 50.0])
+        other = fcm(two_blobs, subtractive_clusters(two_blobs))
+        assert seeded.objective_path[0] != other.objective_path[0]
+        np.testing.assert_allclose(seeded.centers, other.centers, atol=1e-4)
 
-    @given(sample_lists)
-    @example([0.0, 1.2e-160])  # d2 near 1e-320: its reciprocal power overflows
-    @example([0.0, 0.0, 0.0, 0.0, 1.2e-111])  # one center's weights underflow to 0
+    @given(samples_with_start())
+    # d2 near 1e-320: its reciprocal power overflows
+    @example(([0.0, 1.2e-160], [3e-161, 9e-161]))
+    # the middle center's weights all underflow to 0
+    @example(([-1.0, 0.0, 5e-324], [-1.0, -0.5, 0.0]))
     @settings(max_examples=50, deadline=None)
-    def test_row_sums_property(self, values):
-        xs = np.array(values)
-        k = min(2, np.unique(xs).size)
-        model = fcm(xs, k=k)
+    def test_row_sums_property(self, sample):
+        values, start = sample
+        try:
+            model = fcm(np.array(values), start)
+        except ElicitationError as err:
+            # seeds like 1e-74 and 1e-265 in data spanning 1e4, or any two
+            # seeds whose squared distances underflow to 0, can meet
+            assert "merged clusters" in str(err)
+            return
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_named(self, bad):
         # NaN gave centers [nan, nan], inf a NaN membership row
         with pytest.raises(DatasetError, match="non-finite value at row 2"):
-            fcm([0.0, bad, 1.0, 2.0], 2)
+            fcm([0.0, bad, 1.0, 2.0], [0.0, 1.0])
 
     def test_span_without_finite_square_is_refused(self):
         # the squared distances overflowed, and two membership rows were NaN
         with pytest.raises(DatasetError, match="span from 0.0 to 2e[+]200 has no finite square"):
-            fcm([0.0, 1e200, 2e200, 5.0], 2)
+            fcm([0.0, 1e200, 2e200, 5.0], [5.0, 1e200])
 
-    @pytest.mark.parametrize("init", [[math.nan, 1.0], [math.inf, 1.0]])
+    @pytest.mark.parametrize("init", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]])
     def test_non_finite_init_is_refused(self, init):
         # NaN gave centers [1, nan] and NaN membership rows; inf warned on
         # its way to NaN
-        with pytest.raises(DefinitionError, match="non-finite initial center"):
-            fcm([0.0, 1.0, 2.0, 3.0], 2, init=init)
+        with pytest.raises(DefinitionError, match=r"range \[0.0, 3.0\], got \[[-a-z]+, 1.0\]"):
+            fcm([0.0, 1.0, 2.0, 3.0], init)
 
     def test_init_without_finite_squared_distance_is_refused(self):
         # the squared distances overflowed, and the memberships went NaN
-        with pytest.raises(DefinitionError, match="too far from the data"):
-            fcm([0.0, 1.0, 2.0, 3.0], 2, init=[1e300, -1e300])
+        with pytest.raises(DefinitionError, match="within the data's range"):
+            fcm([0.0, 1.0, 2.0, 3.0], [1e300, -1e300])
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            pytest.param([1e150, -1e150], id="far-apart"),
+            pytest.param([1.0, 1.0], id="coincident"),
+            pytest.param([0.0, -0.0], id="signed-zeros"),
+            pytest.param([1.0, 3.5], id="outside"),
+        ],
+    )
+    def test_start_outside_the_contract_is_refused(self, init):
+        # far-apart seeds both took every point at equal weight and merged
+        # at 1.5; coincident ones were moved onto quantiles
+        with pytest.raises(DefinitionError) as err:
+            fcm([0.0, 1.0, 2.0, 3.0, 3.0], init)
+        assert str(err.value) == (
+            "a start needs 1 to 4 distinct centers within the data's range "
+            f"[0.0, 3.0], got {[float(c) for c in init]}"
+        )
+
+    def test_merged_centers_raise(self):
+        # a valid start whose first two centers met: they came back as the
+        # same bits, with two identical membership columns
+        with pytest.raises(ElicitationError, match="merged clusters"):
+            fcm([0.0, 1.0, 2.0], [0.0, 1e-200, 2.0])
+
+    @given(sample_lists, st.floats(min_value=0.05, max_value=1.5))
+    @settings(max_examples=100, deadline=None)
+    def test_subtractive_seeds_are_a_valid_start(self, values, radius):
+        seeds = subtractive_clusters(values, radius)
+        try:
+            model = fcm(values, seeds)
+        except ElicitationError as err:
+            # a span like 1e-205, whose squared distances underflow to 0,
+            # puts every value on every center and merges them
+            assert "merged clusters" in str(err)
+        else:
+            assert model.centers.size == seeds.size
 
     def test_wide_span_with_finite_square_clusters(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fcm([0.0, 1e150, 2e150, 3e150, 5.0], 2)
+            model = fcm([0.0, 1e150, 2e150, 3e150, 5.0], [5.0, 2e150])
         assert np.all(np.isfinite(model.centers))
         assert np.all(np.isfinite(model.memberships))
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
@@ -398,8 +460,8 @@ class TestDistinctValueWeighting:
         return np.concatenate([rng.normal(30.0, 8.0, 60), rng.normal(70.0, 8.0, 60)])
 
     def test_fcm_on_repeated_rows_matches_distinct(self, sample):
-        once = fcm(sample, k=2, init=[30.0, 70.0])
-        thrice = fcm(np.tile(sample, 3), k=2, init=[30.0, 70.0])
+        once = fcm(sample, [30.0, 70.0])
+        thrice = fcm(np.tile(sample, 3), [30.0, 70.0])
         np.testing.assert_allclose(thrice.centers, once.centers, rtol=1e-12)
         # memberships near 0 move by the centers' rounding over their own
         # size, so they are held to 1e-12 of the unit membership scale
@@ -412,7 +474,7 @@ class TestDistinctValueWeighting:
         # 110 scores, 53 distinct, repeated up to 8 times: each repeat must
         # count as the loop oracle counts its row
         xs = individualism_data.values
-        model = fcm(xs, k=2, init=[20.0, 70.0])
+        model = fcm(xs, [20.0, 70.0])
         centers, u, objective = reference_fcm(list(xs), 2, [20.0, 70.0])
         np.testing.assert_allclose(model.centers, centers, rtol=1e-12)
         np.testing.assert_allclose(model.memberships, u, rtol=1e-12, atol=1e-12)
@@ -431,8 +493,8 @@ class TestDistinctValueWeighting:
     def test_row_order_changes_no_bit(self, individualism_data):
         xs = individualism_data.values
         perm = np.random.default_rng(3).permutation(xs.size)
-        a = fcm(xs, k=2, init=[20.0, 70.0])
-        b = fcm(xs[perm], k=2, init=[20.0, 70.0])
+        a = fcm(xs, [20.0, 70.0])
+        b = fcm(xs[perm], [20.0, 70.0])
         assert a.centers.tolist() == b.centers.tolist()
         assert a.memberships[perm].tolist() == b.memberships.tolist()
 
@@ -448,7 +510,7 @@ class TestDistinctValueWeighting:
 
     def test_membership_rows_follow_input_order(self):
         xs = np.array([9.0, 1.0, 5.0, 1.0, 9.0, 2.0, 5.0, 8.0, 1.0])
-        model = fcm(xs, k=2)
+        model = fcm(xs, [1.0, 8.0])
         np.testing.assert_allclose(model.memberships, bezdek_rows(xs, model.centers), rtol=1e-12)
         for i, j in [(1, 3), (1, 8), (0, 4), (2, 6)]:
             assert model.memberships[i].tolist() == model.memberships[j].tolist()
@@ -524,7 +586,7 @@ def reference_fcm(xs, k, init, m=2.0, tol=1e-6, max_iter=500):
 class TestFcmAgainstReference:
     def test_matches_loop_oracle(self, two_blobs):
         init = np.quantile(two_blobs, [0.25, 0.75])
-        model = fcm(two_blobs, k=2, init=init)
+        model = fcm(two_blobs, init)
         ref_centers, ref_u, ref_obj = reference_fcm(list(two_blobs), 2, init)
         order = np.argsort(ref_centers)
         np.testing.assert_allclose(model.centers, np.array(ref_centers)[order], atol=1e-6)

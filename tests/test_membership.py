@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid
 
@@ -63,8 +63,17 @@ class TestTrapezoid:
             Trapezoid(4.0, 2.0, 5.0, 6.0)
 
     @given(st.lists(finite, min_size=4, max_size=4).map(sorted), finite)
+    # the falling edge's quotient overflowed to -inf, with a RuntimeWarning
+    @example([0.0, 0.0, 0.0, 2.7954497238727497e-306], 503.0)
     def test_degree_always_in_unit_interval(self, abcd, x):
-        mf = Trapezoid(*abcd)
+        # finite breakpoints can still be an overflowing distance apart;
+        # such a trapezoid is refused rather than evaluated
+        try:
+            mf = Trapezoid(*abcd)
+        except DefinitionError:
+            a, b, c, d = abcd
+            assert not (math.isfinite(b - a) and math.isfinite(d - c))
+            return
         assert 0.0 <= mf(x) <= 1.0
 
     def test_matches_the_masked_formula(self):
@@ -182,6 +191,15 @@ def test_every_parameter_must_be_finite(shape, params, bad):
     for i in range(len(params)):
         with pytest.raises(DefinitionError, match="finite"):
             shape(*params[:i], bad, *params[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "abcd", [(-1e308, 1e308, 1e308, 1e308), (-1e308, -1e308, -1e308, 1e308)]
+)
+def test_trapezoid_edge_widths_must_be_finite(abcd):
+    # the rising edge of the first gave 0.0 at x = 0, not 0.5, and NaN at 1e308
+    with pytest.raises(DefinitionError, match="with finite edge widths b - a and d - c"):
+        Trapezoid(*abcd)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e200])
