@@ -300,6 +300,8 @@ def load_catalog(path) -> Catalog:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("/", f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError("/", f"{path}: not UTF-8 text: {exc}") from None
     return catalog_from_doc(doc)
 
 
@@ -315,38 +317,60 @@ def load_training_csv(path) -> TrainingSet:
     """Read observations from a CSV with header ``label,value`` or ``value``.
 
     Labels are ignored.  A UTF-8 byte-order mark, as spreadsheet exports
-    write, is skipped.  Problems are reported with 1-based row numbers
-    counting the header as row 1.
+    write, is skipped.  Problems, among them text that is not UTF-8 and a
+    field longer than ``csv.field_size_limit()``, raise DatasetError, with
+    1-based row numbers counting the header as row 1.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        cols = [h.strip().lower() for h in header]
-        if cols not in (["label", "value"], ["value"]):
-            raise DatasetError(
-                f"{path}: header must be 'label,value' or 'value', got {','.join(header)!r}"
-            )
-        values: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(cols):
-                raise DatasetError(
-                    f"{path}: row {row_no}: expected {len(cols)} column(s), got {len(row)}"
-                )
-            raw = row[-1].strip()
+    row_no = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                value = float(raw)
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"{path}: file is empty") from None
+            row_no = 1
+            cols = [h.strip().lower() for h in header]
+            if cols not in (["label", "value"], ["value"]):
                 raise DatasetError(
-                    f"{path}: row {row_no}: could not parse {raw!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise DatasetError(f"{path}: row {row_no}: non-finite value {raw!r}")
-            values.append(value)
+                    f"{path}: header must be 'label,value' or 'value', got {','.join(header)!r}"
+                )
+            width = len(cols)
+            values: list[float] = []
+            for row_no, row in enumerate(reader, start=2):
+                # the usual row first: float() skips the same whitespace as
+                # str.strip(), so blank cells, the width and the message are
+                # looked at only for a row it cannot take
+                if len(row) == width:
+                    try:
+                        value = float(row[-1])
+                    except ValueError:
+                        pass
+                    else:
+                        if math.isfinite(value):
+                            values.append(value)
+                            continue
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    raise DatasetError(
+                        f"{path}: row {row_no}: expected {width} column(s), got {len(row)}"
+                    )
+                raw = row[-1].strip()
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise DatasetError(
+                        f"{path}: row {row_no}: could not parse {raw!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: row {row_no}: non-finite value {raw!r}")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        # the reader failed on the row after the last one it returned
+        raise DatasetError(f"{path}: row {row_no + 1}: {exc}") from None
     if not values:
         raise DatasetError(f"{path}: no data rows")
     return TrainingSet(np.array(values))

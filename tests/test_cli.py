@@ -416,6 +416,17 @@ class TestElicit:
         assert "data span from -1e+308 to 1e+308 is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_not_utf8(self, capsys, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"label,value\nSp\xe4in,51\n\xff,20\n")
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", str(data), "--domain", "0,100", "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: not UTF-8 text: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_ok_catalog(self, capsys, case1_path):
@@ -450,6 +461,14 @@ class TestValidate:
         bad.write_text("][", encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"schema_version": 1, "metadata": {"by": "M\xfcller"}}')
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: /: {bad}: not UTF-8 text: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command", [["validate"], ["eval", "--in", "individualism=38", "--fis"]]

@@ -1,11 +1,14 @@
 """Catalog JSON serialization, schema validation, and CSV loading."""
 
+import csv
 import dataclasses
 import json
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lingmap import (
     Catalog,
@@ -355,6 +358,91 @@ class TestJsonSchemaDocument:
         assert branches == expected
 
 
+def reference_load_training_csv(path) -> list[float]:
+    """The row loop load_training_csv had before its fast path, as an oracle."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: file is empty") from None
+        cols = [h.strip().lower() for h in header]
+        if cols not in (["label", "value"], ["value"]):
+            raise DatasetError(
+                f"{path}: header must be 'label,value' or 'value', got {','.join(header)!r}"
+            )
+        values: list[float] = []
+        for row_no, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(cols):
+                raise DatasetError(
+                    f"{path}: row {row_no}: expected {len(cols)} column(s), got {len(row)}"
+                )
+            raw = row[-1].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: row {row_no}: could not parse {raw!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetError(f"{path}: row {row_no}: non-finite value {raw!r}")
+            values.append(value)
+    if not values:
+        raise DatasetError(f"{path}: no data rows")
+    return values
+
+
+# whitespace str.strip() removes, ASCII and not: no-break space, em space
+# and the information separators \x1c-\x1f
+_pads = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\x1c", "\x1f"])
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["1e3", "-0.0", ".5", "1_000", "+7"]),
+)
+_padded_numbers = st.tuples(_pads, _numbers, _pads).map("".join)
+_blank_cells = st.sampled_from(["", " ", "\t", "\u00a0"])
+_bad_values = st.one_of(
+    st.sampled_from(["nan", "NaN", " inf", "-inf ", "Infinity", "1e999"]),
+    st.sampled_from(["oops", "1..2", "0x10", "-", "e3", '"1,5"']),
+    _blank_cells,
+)
+_labels = st.one_of(
+    st.sampled_from(["Guatemala", " padded ", "", '"Costa Rica, San José"', '"a,b,c"']),
+    _blank_cells,
+)
+_blank_rows = st.sampled_from(["", ",", " , ", "\t,\t", ",,", " "])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text for load_training_csv: mostly well-formed, with every kind of bad row.
+
+    Each choice is drawn as an integer whose small values pick a good row
+    or cell, so about 1 row in 6 is bad and 1 in 12 blank, 1 header in 4
+    is bad, and Hypothesis shrinks towards good text.
+    """
+    headers = ["value", "label,value", " Label , VALUE ", "value,label"]
+    header = headers[draw(st.integers(0, 3))]
+    width = 1 if header == "value" else 2
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 11))
+        if kind < 10:
+            labels = draw(st.lists(_labels, min_size=width - 1, max_size=width - 1))
+            value = draw(_padded_numbers if kind < 9 else _bad_values)
+            rows.append(",".join([*labels, value]))
+        elif kind == 10:
+            rows.append(draw(_blank_rows))
+        else:
+            cells = draw(st.lists(st.one_of(_labels, _padded_numbers), max_size=3))
+            rows.append(",".join(cells) if len(cells) != width else ",".join(cells) + ",x")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
 class TestTrainingCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "data.csv"
@@ -425,3 +513,27 @@ class TestTrainingCsv:
         assert len(individualism_data) == 110
         assert individualism_data.values.min() == 6.0
         assert individualism_data.values.max() == 91.0
+
+    @pytest.mark.parametrize("where, row", [("label", 3), ("header", 1)])
+    def test_oversized_field_names_its_row(self, tmp_path, where, row):
+        # csv.field_size_limit() is 131 072 characters
+        big = "x" * 200_000
+        header = big if where == "header" else "label,value"
+        label = big if where == "label" else "b"
+        path = self.write(tmp_path, f"{header}\na,1\n{label},2\n")
+        with pytest.raises(DatasetError, match=rf"data.csv: row {row}: field larger than field limit"):
+            load_training_csv(path)
+
+    @settings(max_examples=300)
+    @given(text=csv_texts())
+    def test_loop_matches_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = reference_load_training_csv(path)
+        except DatasetError as err:
+            with pytest.raises(DatasetError) as got:
+                load_training_csv(path)
+            assert str(got.value) == str(err)
+        else:
+            assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()

@@ -1,6 +1,7 @@
 """Clustering, membership fitting, and end-to-end variable elicitation."""
 
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -507,6 +508,22 @@ class TestDistinctValueWeighting:
         assert one.variable == other.variable
         assert one.fits == other.fits
         assert one.clusters.memberships[perm].tolist() == other.clusters.memberships.tolist()
+        assert not other.clusters.memberships.flags.writeable
+
+        # continuous values, all distinct: no (value, membership) pair
+        # repeats, so each fit takes the path without weights
+        rng = np.random.default_rng(15)
+        xs = np.concatenate([rng.normal(30.0, 8.0, 150), rng.normal(70.0, 8.0, 150)])
+        assert np.unique(xs).size == xs.size
+        perm = rng.permutation(xs.size)
+        one = elicit_variable(TrainingSet(xs), "x", Interval(-100.0, 200.0))
+        other = elicit_variable(TrainingSet(xs[perm]), "x", Interval(-100.0, 200.0))
+        assert one.variable == other.variable
+        assert one.fits == other.fits
+        assert one.clusters.memberships[perm].tolist() == other.clusters.memberships.tolist()
+        assert not other.clusters.memberships.flags.writeable
+        u = one.clusters.memberships[:, 1]
+        assert fit_gauss2(xs, u, init) == fit_gauss2(xs[perm], u[perm], init)
 
     def test_membership_rows_follow_input_order(self):
         xs = np.array([9.0, 1.0, 5.0, 1.0, 9.0, 2.0, 5.0, 8.0, 1.0])
@@ -674,6 +691,20 @@ class TestElicitVariable:
             "coverage of 'x' dips to 0.000 near 50, below the floor 0.2",
         )
 
+    def test_collapsed_bump_warns(self):
+        result = elicit_variable(
+            TrainingSet(np.array(COLLAPSED_BUMP_SAMPLE, float)), "x", Interval(0.0, 100.0)
+        )
+        p = result.variable.terms["LC2"]
+        assert min(p.gamma1, p.gamma2) < elicit.WIDTH_FLOOR * 91.0
+        assert result.fits[1].converged
+        (warning,) = result.warnings
+        assert re.fullmatch(
+            r"term LC2 of 'x' has a bump of width \S+, below 0.001 of the data span 91, "
+            r"so it is one Gaussian",
+            warning,
+        )
+
     def test_terms_named_in_ascending_center_order(self, two_blobs):
         result = elicit_variable(TrainingSet(two_blobs), "x", Interval(0.0, 60.0))
         lc1, lc2 = result.variable.terms["LC1"], result.variable.terms["LC2"]
@@ -733,6 +764,18 @@ COLLAPSE_SAMPLE = [
     57, 62, 60, 52, 59, 48, 66, 64, 52, 59, 64, 62, 73, 50, 51, 56, 41, 63, 49, 52,
     62, 59, 66, 56, 51, 79, 48, 54, 70, 54, 50, 59, 56, 60, 66, 56, 62, 60, 68, 59,
     69, 50, 50, 56, 62, 55, 66, 64, 61, 55,
+]  # fmt: skip
+
+# 110 integer scores from two modes, two_mode_integers(188): of 2000 seeds
+# swept, the first whose fit converges with a bump collapsed to a spike
+# (LC2, width about 1e-21) and no other warning
+COLLAPSED_BUMP_SAMPLE = [
+    31, 33, 20, 21, 22, 15, 5, 28, 16, 18, 35, 21, 20, 2, 19, 17, 31, 8, 25, 10,
+    22, 12, 6, 26, 26, 31, 30, 24, 28, 2, 27, 23, 17, 9, 25, 22, 19, 5, 23, 10,
+    0, 17, 17, 28, 18, 9, 17, 26, 25, 26, 14, 24, 9, 16, 34, 25, 7, 12, 26, 21,
+    16, 23, 18, 22, 22, 19, 23, 5, 15, 8, 11, 12, 28, 12, 15, 87, 84, 80, 91, 87,
+    72, 69, 72, 67, 70, 67, 65, 74, 77, 74, 81, 70, 72, 79, 83, 78, 69, 78, 67, 86,
+    81, 76, 77, 71, 73, 65, 73, 81, 72, 74,
 ]  # fmt: skip
 
 
