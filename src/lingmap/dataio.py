@@ -338,28 +338,22 @@ def load_training_csv(path) -> TrainingSet:
             width = len(cols)
             values: list[float] = []
             for row_no, row in enumerate(reader, start=2):
-                # the usual row first: float() skips the same whitespace as
-                # str.strip(), so blank cells, the width and the message are
-                # looked at only for a row it cannot take
-                if len(row) == width:
-                    try:
-                        value = float(row[-1])
-                    except ValueError:
-                        pass
-                    else:
-                        if math.isfinite(value):
-                            values.append(value)
-                            continue
-                if not any(cell.strip() for cell in row):
-                    continue
+                # blank cells are looked for only in a row that cannot be
+                # taken as it is
                 if len(row) != width:
+                    if not any(cell.strip() for cell in row):
+                        continue
                     raise DatasetError(
                         f"{path}: row {row_no}: expected {width} column(s), got {len(row)}"
                     )
+                # float() alone would refuse the separators U+001C to U+001F,
+                # which str.strip() removes as whitespace
                 raw = row[-1].strip()
                 try:
                     value = float(raw)
                 except ValueError:
+                    if not any(cell.strip() for cell in row):
+                        continue
                     raise DatasetError(
                         f"{path}: row {row_no}: could not parse {raw!r} as a number"
                     ) from None

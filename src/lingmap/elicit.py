@@ -672,7 +672,7 @@ def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
 
         # the normal matrix is sqrt(counts) * jac times its own transpose,
         # a product numpy computes exactly symmetric
-        root = np.sqrt(counts)
+        root = None if unit else np.sqrt(counts)
         lam = 1e-3
         converged = cost <= cost_floor
         iterations = 0
