@@ -114,6 +114,8 @@ def _parse_axis(text: str):
         steps = int(parts[2])
     except ValueError:
         raise LingmapError(f"bad axis {text!r}: expected VAR=LO:HI:STEPS") from None
+    if not np.isfinite(hi - lo):
+        raise LingmapError(f"bad axis {text!r}: LO, HI and HI - LO must be finite")
     if steps < 1:
         raise LingmapError(f"bad axis {text!r}: steps must be at least 1")
     return name.strip(), np.linspace(lo, hi, steps)

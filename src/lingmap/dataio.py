@@ -295,7 +295,8 @@ def _fis_from_json(node, path, variables) -> FuzzyInferenceSystem:
 
 
 def load_catalog(path) -> Catalog:
-    with open(path, encoding="utf-8") as fh:
+    """Read a catalog from a UTF-8 JSON file, skipping a byte-order mark as some editors write."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ The pipeline has three stages:
    two-term Gaussian, which becomes one linguistic term.
 
 No RNG is involved anywhere, and no stage depends on the order of the
-rows.  Stage 1 sorts the data and gives exact potential ties to the
+rows.  Stage 1 reads the sorted data and gives exact potential ties to the
 smallest value.  Stages 2 and 3 run over the distinct sorted values
 (stage 3 over the distinct (value, membership) pairs), each weighted by
 how often it occurs, as Eschrich, Ke, Hall & Goldgof (2003) do for fuzzy
@@ -43,18 +43,20 @@ Stage 2 makes no start of its own: fcm runs from the centers it is given,
 which must be distinct and within the data's range, as the distinct data
 values stage 1 picks are.
 
-elicit_variable sorts its rows once, in O(n log n), and hands the sorted
-rows to every stage.  Each stage still sorts what it is given, as a direct
-caller needs, but numpy's argsort and lexsort take about a tenth of their
-time on shuffled rows when the rows are already in order.  An
-iteration of fcm or of the fit then takes a number of numpy calls that
-does not grow with n, and array work in proportion to the number of
-distinct values.  A fit whose pairs are all distinct skips the weights,
-which would all be exactly 1.  A trial step of the fit evaluates only the model;
-the Jacobian is built once per accepted step, from the intermediates of
-the trial that was accepted.  200 000 integer scores from 0 to 100 elicit
-in 0.045-0.05 s on a shared 2-core x86-64 host (two modes: 0.035-0.04 s),
-where sorting each stage's rows apart took 0.12-0.17 s.
+A TrainingSet sorts its rows once, in O(n log n), the first time they
+are read, and keeps the order, the sorted rows and the runs of equal
+values in them.  Stages 1 and 2 read those, and elicit_variable hands
+stage 3 the sorted rows, so no stage sorts the rows again; the fit still
+merges its (value, membership) pairs, which numpy's lexsort orders in
+about a tenth of the time when they come sorted.  An iteration of fcm or
+of the fit then takes a number of numpy calls that does not grow with n,
+and array work in proportion to the number of distinct values.  A fit
+whose pairs are all distinct skips the weights, which would all be
+exactly 1.  A trial step of the fit evaluates only the model; the
+Jacobian is built once per accepted step, from the intermediates of the
+trial that was accepted.  200 000 integer scores from 0 to 100 elicit in
+0.03-0.04 s on a shared 2-core x86-64 host, where each stage sorting
+the rows again took 0.03-0.05 s.
 
 The only setting is the cluster radius, a fraction of the data span
 (default 0.5).  Every other constant is fixed:
@@ -105,7 +107,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,16 +139,9 @@ WIDTH_FLOOR = 1e-3
 _UNIT = 2.0**-53
 
 
-def _require_finite_rows(xs: np.ndarray) -> None:
-    """Raise DatasetError naming the first row of xs that is not finite."""
-    if not np.all(np.isfinite(xs)):
-        bad = int(np.flatnonzero(~np.isfinite(xs))[0])
-        raise DatasetError(f"non-finite value at row {bad + 1}")
-
-
 @dataclass(frozen=True)
 class TrainingSet:
-    """1-D finite observations, read-only."""
+    """1-D finite observations, read-only, sorted once on first use."""
 
     values: np.ndarray
 
@@ -154,12 +149,24 @@ class TrainingSet:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise DatasetError("training set is empty")
-        _require_finite_rows(arr)
+        if not np.all(np.isfinite(arr)):
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise DatasetError(f"non-finite value at row {bad + 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self):
         return int(self.values.size)
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sorting order, the sorted rows, and each run of equal values' start and length."""
+        order = np.argsort(self.values)
+        rows = self.values[order]
+        starts, runs = _runs(rows)
+        for a in (order, rows, starts, runs):
+            a.setflags(write=False)
+        return order, rows, starts, runs
 
 
 @dataclass(frozen=True)
@@ -340,22 +347,23 @@ def _potentials(uz: np.ndarray, counts: np.ndarray, h: float) -> tuple[np.ndarra
     return approx, bound
 
 
-def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
+def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
     """Estimate cluster centers by potential subtraction.
 
-    values are normalized to [0, 1] by their own min/max before any
+    data's values are normalized to [0, 1] by their own min/max before any
     distance is computed, so `radius` is a fraction of the observed data
     span; it must be positive, with -4/radius^2 and -4/(1.25 radius)^2
     finite and nonzero (about 1.5e-154 to 1e154), and the span finite.
     Returns centers in original units, in order of selection (strongest
     first).  Identical data collapses to a single center.
 
-    Takes O(n) memory and O(n log n + n * HERMITE_TERMS) time, plus O(n)
-    for each distinct value whose potential has to be recomputed exactly:
-    a handful on most data, but most values of evenly spaced data at small
-    radii, whose potentials tie to within rounding.  The centers equal
-    those of the dense n x n formula bit for bit: every choice is made on
-    potentials that formula would compute, and the approximate potentials
+    Reads the rows as data sorted them, once, in O(n log n), having refused
+    non-finite ones.  Takes O(n) memory and O(n * HERMITE_TERMS) time, plus
+    O(n) for each distinct value whose potential has to be recomputed
+    exactly: a handful on most data, but most values of evenly spaced data
+    at small radii, whose potentials tie to within rounding.  The centers
+    equal those of the dense n x n formula bit for bit: every choice is made
+    on potentials that formula would compute, and the approximate potentials
     only rule out values that their error bound keeps from being chosen.
     """
     if not radius > 0.0:
@@ -375,13 +383,10 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
             f"radius {radius!r} is out of range: -4/r^2 and -4/(1.25 r)^2 must be "
             "finite and nonzero"
         )
-    xs = np.asarray(values, dtype=float).ravel()
-    if xs.size == 0:
-        raise DatasetError("training set is empty")
     # canonical order: potentials are sums whose float rounding depends on
-    # summation order, so sorting first makes the result independent of how
-    # the caller happened to arrange the data
-    xs = np.sort(xs)
+    # summation order, so the sorted rows make the result independent of
+    # how the caller happened to arrange the data
+    _, xs, starts, runs = data._sorted
     lo, hi = float(xs[0]), float(xs[-1])
     if not math.isfinite(hi - lo):
         raise DatasetError(f"the data span from {lo!r} to {hi!r} is not a finite number")
@@ -391,9 +396,8 @@ def subtractive_clusters(values, radius: float = 0.5) -> np.ndarray:
 
     # equal values have equal potentials and share every decision, so the
     # search runs over the distinct values, starts[i] being uz[i]'s first row
-    starts, counts = _runs(zs)
     uz = zs[starts]
-    counts = counts.astype(float)
+    counts = runs.astype(float)
 
     approx, bound = _potentials(uz, counts, radius / 2.0)
     # comparisons with approx use the bound widened by a few ulp of itself
@@ -494,8 +498,8 @@ def _fcm_memberships(d2: np.ndarray) -> np.ndarray:
     return u
 
 
-def fcm(values, init) -> ClusterModel:
-    """Fuzzy c-means on 1-D data, started from the k = len(init) centers init.
+def fcm(data: TrainingSet, init) -> ClusterModel:
+    """Fuzzy c-means on the values of data, started from the k = len(init) centers init.
 
     A start holds 1 to (number of distinct values) centers, distinct and
     within [min, max] of the data, as subtractive_clusters' are; any other
@@ -507,24 +511,21 @@ def fcm(values, init) -> ClusterModel:
     match.
 
     Equal values have equal memberships, so the iteration runs over the
-    distinct sorted values, each weighted by its count (Eschrich, Ke, Hall
-    & Goldgof 2003): centers are sum(c u^m x) / sum(c u^m) and the
-    objective is sum(c u^m d^2).  Its numpy calls per iteration do not
-    grow with n, and its array work grows with the number of distinct
-    values; the memberships are then spread back to one row per
-    observation, in input order.  Permuting the input changes no bit.
-    Non-finite values, and data whose span has no finite square (so no
-    finite squared distance), raise DatasetError.
+    distinct values in the order data sorts them in, each weighted by its
+    count (Eschrich, Ke, Hall & Goldgof 2003): centers are sum(c u^m x) /
+    sum(c u^m) and the objective is sum(c u^m d^2).  Its numpy calls per
+    iteration do not grow with n, and its array work grows with the number
+    of distinct values; the memberships are then spread back to one row per
+    observation, in data's row order.  Permuting the rows changes no bit.
+    Data whose span has no finite square (so no finite squared distance)
+    raises DatasetError; TrainingSet has refused non-finite values.
     """
-    xs = np.asarray(values, dtype=float).ravel()
-    if xs.size == 0:
-        raise DatasetError("training set is empty")
-    _require_finite_rows(xs)
-    ux, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    order, xs, starts, runs = data._sorted
+    ux = xs[starts]
     lo, hi = float(ux[0]), float(ux[-1])
     if not math.isfinite((hi - lo) * (hi - lo)):
         raise DatasetError(f"the data span from {lo!r} to {hi!r} has no finite square")
-    counts = counts.astype(float)
+    counts = runs.astype(float)
 
     centers = np.array(init, dtype=float).ravel()
     # NaN and infinities fail the range test too
@@ -555,18 +556,20 @@ def fcm(values, init) -> ClusterModel:
             break
 
     u = _fcm_memberships((ux - centers[:, None]) ** 2)
-    order = np.argsort(centers, kind="stable")
-    centers = centers[order]
+    ascending = np.argsort(centers, kind="stable")
+    centers = centers[ascending]
     if np.any(centers[1:] == centers[:-1]):
         raise ElicitationError(
             f"fuzzy c-means merged clusters: the centers {centers.tolist()} coincide"
         )
-    u = u[order].T[inverse]
+    # each distinct value's row, repeated over its run, back in data's row order
+    memberships = np.empty((xs.size, centers.size))
+    memberships[order] = np.repeat(u[ascending].T, runs, axis=0)
     centers.setflags(write=False)
-    u.setflags(write=False)
+    memberships.setflags(write=False)
     return ClusterModel(
         centers=centers,
-        memberships=u,
+        memberships=memberships,
         objective_path=tuple(objective_path),
         iterations=iterations,
         converged=converged,
@@ -801,11 +804,9 @@ def elicit_variable(
             f"first is {float(outside[0])!r}"
         )
 
-    # every stage is independent of row order, so the rows are sorted once
-    # here and each stage's own sort finds them in order
-    order = np.argsort(xs)
-    sx = xs[order]
-    seeds = subtractive_clusters(sx, radius)
+    # data sorts its rows once, here, and every stage below reads that sort
+    order, sx, starts, runs = data._sorted
+    seeds = subtractive_clusters(data, radius)
     if seeds.size == 1:
         # one membership column is 1 everywhere, and a two-bump fit to it
         # flattens by growing its widths without bound
@@ -813,17 +814,16 @@ def elicit_variable(
             f"subtractive clustering found one cluster in '{name}' at radius {radius}; "
             "a linguistic variable needs two terms or more, so try a smaller radius"
         )
-    model = fcm(sx, seeds)
+    model = fcm(data, seeds)
     # the distinct values and their memberships, which equal values share
-    starts, counts = _runs(sx)
-    ux, counts = sx[starts], counts.astype(float)
-    distinct = model.memberships[starts]
+    ux, counts = sx[starts], runs.astype(float)
+    distinct = model.memberships[order[starts]]
 
     fits = []
     terms = {}
     for col, center in enumerate(model.centers):
         init = _seed_gauss2(ux, counts, distinct[:, col], float(center))
-        fit = fit_gauss2(sx, model.memberships[:, col], init)
+        fit = fit_gauss2(sx, np.repeat(distinct[:, col], runs), init)
         if fit.residual > RESIDUAL_CEILING:
             raise ElicitationError(
                 f"membership fit for term LC{col + 1} of '{name}' has RMS residual "
@@ -853,13 +853,9 @@ def elicit_variable(
             f"{probe[worst]:.4g}, below the floor {COVERAGE_FLOOR}"
         )
 
-    # the memberships go back to the caller's row order
-    memberships = np.empty_like(model.memberships)
-    memberships[order] = model.memberships
-    memberships.setflags(write=False)
     return ElicitResult(
         variable=variable,
-        clusters=replace(model, memberships=memberships),
+        clusters=model,
         fits=tuple(fits),
         warnings=tuple(warnings),
     )

@@ -14,6 +14,7 @@ from lingmap import (
     FuzzyInferenceSystem,
     Gauss2,
     Interval,
+    TrainingSet,
     Trapezoid,
     dumps_catalog,
     evaluate,
@@ -208,7 +209,7 @@ def _loop_fcm(xs, k, init, m=2.0, tol=1e-6, max_iter=500):
 def test_criterion_07_fcm_oracle(two_blobs):
     def body():
         init = np.quantile(two_blobs, [0.25, 0.75])
-        model = fcm(two_blobs, init)
+        model = fcm(TrainingSet(two_blobs), init)
         ref_centers, ref_u, ref_obj = _loop_fcm(list(two_blobs), 2, init)
         order = np.argsort(ref_centers)
         assert np.max(np.abs(model.centers - np.array(ref_centers)[order])) <= 1e-6
@@ -287,7 +288,7 @@ def test_criterion_09_property_suite(case1_fis, case2_fis, two_blobs):
 
         # fuzzy partition rows sum to one
         for k in (2, 3):
-            model = fcm(two_blobs, np.quantile(two_blobs, (np.arange(k) + 0.5) / k))
+            model = fcm(TrainingSet(two_blobs), np.quantile(two_blobs, (np.arange(k) + 0.5) / k))
             assert np.max(np.abs(model.memberships.sum(axis=1) - 1.0)) <= 1e-12
 
         # canonical serialization is byte-stable through a round trip

@@ -307,9 +307,12 @@ class TestSurface:
         assert "once or twice" in capsys.readouterr().err
 
     def test_bad_axis_spec(self, capsys, case1_path):
-        args = ["surface", "--fis", case1_path, "--axis", "individualism=0:100"]
-        assert cli.main(args) == 2
-        assert "bad axis" in capsys.readouterr().err
+        # a non-finite end, or a span that overflows, made linspace warn and
+        # then report a NaN input
+        for spec in ("0:100", "0:inf:3", "nan:1:3", "-1e308:1e308:3"):
+            args = ["surface", "--fis", case1_path, "--axis", f"individualism={spec}"]
+            assert cli.main(args) == 2
+            assert "bad axis" in capsys.readouterr().err
 
     def test_zero_steps_rejected(self, capsys, case1_path):
         args = ["surface", "--fis", case1_path, "--axis", "individualism=0:100:0"]
@@ -461,6 +464,15 @@ class TestValidate:
         bad.write_text("][", encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, case1_path):
+        # it exited 2 with "Unexpected UTF-8 BOM"
+        with open(case1_path, "rb") as fh:
+            text = fh.read()
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert cli.main(["validate", str(marked)]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_not_utf8(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

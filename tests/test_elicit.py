@@ -50,32 +50,59 @@ class TestTrainingSet:
         with pytest.raises(DatasetError):
             TrainingSet(np.array([1.0, float("nan")]))
 
+    def test_elicitation_sorts_the_rows_once(self, individualism_data, monkeypatch):
+        # elicit_variable, subtractive_clusters and fcm each sorted the rows
+        # apart; the fits' lexsort of (value, membership) pairs is not counted
+        data = TrainingSet(individualism_data.values)
+        calls = []
+        for name in ("sort", "argsort", "unique"):
+
+            def counted(a, *args, _original=getattr(np, name), _name=name, **kwargs):
+                if np.size(a) == len(data):
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        elicit_variable(data, "x", Interval(0.0, 100.0))
+        assert len(calls) == 1, calls
+
+    def test_shuffled_rows_give_the_bits_of_sorted_rows(self, individualism_data):
+        xs = np.sort(individualism_data.values)
+        perm = np.random.default_rng(17).permutation(xs.size)
+        ordered, shuffled = TrainingSet(xs), TrainingSet(xs[perm])
+        seeds = subtractive_clusters(ordered)
+        assert subtractive_clusters(shuffled).tolist() == seeds.tolist()
+        a, b = fcm(ordered, seeds), fcm(shuffled, seeds)
+        assert a.centers.tolist() == b.centers.tolist()
+        assert a.objective_path == b.objective_path
+        assert a.memberships[perm].tolist() == b.memberships.tolist()
+
 
 class TestSubtractiveClustering:
     def test_identical_data_gives_one_center(self):
-        centers = subtractive_clusters(np.full(25, 7.5))
+        centers = subtractive_clusters(TrainingSet(np.full(25, 7.5)))
         assert centers.tolist() == [7.5]
 
     def test_two_blobs_give_two_centers(self, two_blobs):
-        centers = subtractive_clusters(two_blobs)
+        centers = subtractive_clusters(TrainingSet(two_blobs))
         assert len(centers) == 2
         assert min(centers) == pytest.approx(10.0, abs=2.0)
         assert max(centers) == pytest.approx(50.0, abs=3.0)
 
     def test_fixture_dataset_gives_two_centers(self, individualism_data):
-        centers = subtractive_clusters(individualism_data.values)
+        centers = subtractive_clusters(individualism_data)
         assert len(centers) == 2
 
     def test_centers_are_data_points(self, two_blobs):
-        centers = subtractive_clusters(two_blobs)
+        centers = subtractive_clusters(TrainingSet(two_blobs))
         for c in centers:
             assert np.any(two_blobs == c)
 
     def test_symmetric_pair_breaks_tie_by_value(self):
         # both points have identical potential; the result must not depend
         # on their order in the array
-        a = subtractive_clusters(np.array([0.0, 1.0]))
-        b = subtractive_clusters(np.array([1.0, 0.0]))
+        a = subtractive_clusters(TrainingSet(np.array([0.0, 1.0])))
+        b = subtractive_clusters(TrainingSet(np.array([1.0, 0.0])))
         assert a.tolist() == b.tolist()
 
     @given(sample_lists, st.randoms(use_true_random=False))
@@ -84,30 +111,30 @@ class TestSubtractiveClustering:
         xs = np.array(values)
         shuffled = xs.copy()
         rnd.shuffle(shuffled)
-        a = np.sort(subtractive_clusters(xs))
-        b = np.sort(subtractive_clusters(shuffled))
+        a = np.sort(subtractive_clusters(TrainingSet(xs)))
+        b = np.sort(subtractive_clusters(TrainingSet(shuffled)))
         assert a.tolist() == b.tolist()
 
     def test_radius_controls_granularity(self, two_blobs):
-        coarse = subtractive_clusters(two_blobs, radius=1.5)
-        fine = subtractive_clusters(two_blobs, radius=0.12)
+        coarse = subtractive_clusters(TrainingSet(two_blobs), radius=1.5)
+        fine = subtractive_clusters(TrainingSet(two_blobs), radius=0.12)
         assert len(coarse) <= len(fine)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, math.nan])
     def test_radius_must_be_positive(self, two_blobs, radius):
         with pytest.raises(DefinitionError, match="radius must be positive"):
-            subtractive_clusters(two_blobs, radius=radius)
+            subtractive_clusters(TrainingSet(two_blobs), radius=radius)
 
     @pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e300])
     def test_radius_with_no_finite_kernel_is_refused(self, radius):
         # 1e-160 made every potential NaN and returned no centres,
         # 1e-200 divided by zero and 1e300 overflowed the square
         with pytest.raises(DefinitionError, match="out of range"):
-            subtractive_clusters(np.arange(10.0), radius=radius)
+            subtractive_clusters(TrainingSet(np.arange(10.0)), radius=radius)
 
     def test_overflowing_span_is_named(self):
         with pytest.raises(DatasetError, match="span from -1e[+]308 to 1e[+]308"):
-            subtractive_clusters([-1e308, 1e308])
+            subtractive_clusters(TrainingSet([-1e308, 1e308]))
         data = TrainingSet(np.array([-1e308] * 3 + [1e308] * 3))
         with pytest.raises(DatasetError, match="is not a finite number"):
             elicit_variable(data, "x", Interval(-1e308, 1e308))
@@ -117,7 +144,7 @@ class TestSubtractiveClustering:
         xs = np.random.default_rng(5000).normal(50.0, 15.0, size=5000)
         tracemalloc.start()
         try:
-            subtractive_clusters(xs)
+            subtractive_clusters(TrainingSet(xs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,7 +222,7 @@ class TestSubtractiveAgainstDense:
     @pytest.mark.parametrize("n", [2, 9, 200, 1500, 3000])
     def test_regimes(self, n, kind, radius):
         xs = regime_sample(kind, n)
-        got = subtractive_clusters(xs, radius)
+        got = subtractive_clusters(TrainingSet(xs), radius)
         assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
 
     @pytest.mark.parametrize("radius", REGIME_RADII)
@@ -211,7 +238,7 @@ class TestSubtractiveAgainstDense:
 
         monkeypatch.setattr(elicit, "_potentials", loose)
         xs = regime_sample(kind, 1500)
-        got = subtractive_clusters(xs, radius)
+        got = subtractive_clusters(TrainingSet(xs), radius)
         assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
 
     @pytest.mark.parametrize("radius", REGIME_RADII)
@@ -231,14 +258,14 @@ class TestSubtractiveAgainstDense:
     def test_fixture_dataset(self, individualism_data):
         xs = individualism_data.values
         for radius in (0.15, 0.5, 1.0):
-            got = subtractive_clusters(xs, radius)
+            got = subtractive_clusters(TrainingSet(xs), radius)
             assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
 
     @pytest.mark.parametrize("n", [513, 1000, 1531])
     def test_two_mode_samples_span_several_blocks(self, n):
         rng = np.random.default_rng(n)
         xs = np.concatenate([rng.normal(30.0, 8.0, n // 2), rng.normal(70.0, 8.0, n - n // 2)])
-        got = subtractive_clusters(xs)
+        got = subtractive_clusters(TrainingSet(xs))
         assert got.tolist() == dense_subtractive_clusters(xs).tolist()
 
     @given(
@@ -259,7 +286,7 @@ class TestSubtractiveAgainstDense:
     @example([1.0, 1.0, 4.0, 4.0, 4.0, 9.0], 0.5)
     @settings(max_examples=100, deadline=None)
     def test_property(self, values, radius):
-        got = subtractive_clusters(values, radius)
+        got = subtractive_clusters(TrainingSet(values), radius)
         assert got.tolist() == dense_subtractive_clusters(values, radius).tolist()
 
 
@@ -270,7 +297,7 @@ class TestLargeSamples:
         rng = np.random.default_rng(200_000)
         xs = np.concatenate([rng.normal(30.0, 8.0, 100_000), rng.normal(70.0, 8.0, 100_000)])
         start = time.perf_counter()
-        centers = subtractive_clusters(xs)
+        centers = subtractive_clusters(TrainingSet(xs))
         elapsed = time.perf_counter() - start
         assert len(centers) >= 2
         assert elapsed < 3.0, f"took {elapsed:.2f}s"
@@ -278,7 +305,7 @@ class TestLargeSamples:
     def test_101_distinct_integers(self):
         xs = np.random.default_rng(101).integers(0, 101, 200_000).astype(float)
         start = time.perf_counter()
-        centers = subtractive_clusters(xs)
+        centers = subtractive_clusters(TrainingSet(xs))
         elapsed = time.perf_counter() - start
         assert len(centers) >= 2
         assert elapsed < 3.0, f"took {elapsed:.2f}s"
@@ -322,11 +349,11 @@ class TestFcm:
         return np.quantile(two_blobs, [0.25, 0.75])
 
     def test_memberships_sum_to_one(self, two_blobs, start):
-        model = fcm(two_blobs, start)
+        model = fcm(TrainingSet(two_blobs), start)
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
 
     def test_centers_sorted_with_matching_columns(self, two_blobs, start):
-        model = fcm(two_blobs, start[::-1])
+        model = fcm(TrainingSet(two_blobs), start[::-1])
         assert model.centers[0] < model.centers[1]
         low_points = two_blobs < 30.0
         # points in the low blob must prefer the low center's column
@@ -334,20 +361,20 @@ class TestFcm:
         assert np.all(model.memberships[~low_points, 1] > 0.5)
 
     def test_objective_nonincreasing(self, two_blobs, start):
-        model = fcm(two_blobs, start)
+        model = fcm(TrainingSet(two_blobs), start)
         path = np.array(model.objective_path)
         assert np.all(np.diff(path) <= 1e-9)
 
     def test_converged_flag(self, two_blobs, start, monkeypatch):
-        assert fcm(two_blobs, start).converged
+        assert fcm(TrainingSet(two_blobs), start).converged
         monkeypatch.setattr(elicit, "FCM_MAX_ITER", 1)
-        starved = fcm(two_blobs, start)
+        starved = fcm(TrainingSet(two_blobs), start)
         assert not starved.converged
         assert starved.iterations == 1
 
     def test_coincident_point_gets_full_membership(self):
         xs = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
-        model = fcm(xs, [0.0, 10.0])
+        model = fcm(TrainingSet(xs), [0.0, 10.0])
         # centers land exactly on the two values; memberships must be crisp
         np.testing.assert_allclose(model.centers, [0.0, 10.0], atol=1e-9)
         np.testing.assert_allclose(model.memberships[0], [1.0, 0.0], atol=1e-9)
@@ -355,13 +382,14 @@ class TestFcm:
     def test_k_must_fit_data(self):
         # k is the length of the start: 1 up to the number of distinct values
         with pytest.raises(DefinitionError, match="1 to 2 distinct centers"):
-            fcm(np.array([1.0, 2.0, 2.0]), [1.0, 1.5, 2.0])
+            fcm(TrainingSet(np.array([1.0, 2.0, 2.0])), [1.0, 1.5, 2.0])
         with pytest.raises(DefinitionError, match="1 to 2 distinct centers"):
-            fcm(np.array([1.0, 2.0, 2.0]), [])
+            fcm(TrainingSet(np.array([1.0, 2.0, 2.0])), [])
 
     def test_init_seeds_are_used(self, two_blobs):
-        seeded = fcm(two_blobs, [10.0, 50.0])
-        other = fcm(two_blobs, subtractive_clusters(two_blobs))
+        data = TrainingSet(two_blobs)
+        seeded = fcm(data, [10.0, 50.0])
+        other = fcm(data, subtractive_clusters(data))
         assert seeded.objective_path[0] != other.objective_path[0]
         np.testing.assert_allclose(seeded.centers, other.centers, atol=1e-4)
 
@@ -374,7 +402,7 @@ class TestFcm:
     def test_row_sums_property(self, sample):
         values, start = sample
         try:
-            model = fcm(np.array(values), start)
+            model = fcm(TrainingSet(np.array(values)), start)
         except ElicitationError as err:
             # seeds like 1e-74 and 1e-265 in data spanning 1e4, or any two
             # seeds whose squared distances underflow to 0, can meet
@@ -386,24 +414,24 @@ class TestFcm:
     def test_non_finite_value_is_named(self, bad):
         # NaN gave centers [nan, nan], inf a NaN membership row
         with pytest.raises(DatasetError, match="non-finite value at row 2"):
-            fcm([0.0, bad, 1.0, 2.0], [0.0, 1.0])
+            fcm(TrainingSet([0.0, bad, 1.0, 2.0]), [0.0, 1.0])
 
     def test_span_without_finite_square_is_refused(self):
         # the squared distances overflowed, and two membership rows were NaN
         with pytest.raises(DatasetError, match="span from 0.0 to 2e[+]200 has no finite square"):
-            fcm([0.0, 1e200, 2e200, 5.0], [5.0, 1e200])
+            fcm(TrainingSet([0.0, 1e200, 2e200, 5.0]), [5.0, 1e200])
 
     @pytest.mark.parametrize("init", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]])
     def test_non_finite_init_is_refused(self, init):
         # NaN gave centers [1, nan] and NaN membership rows; inf warned on
         # its way to NaN
         with pytest.raises(DefinitionError, match=r"range \[0.0, 3.0\], got \[[-a-z]+, 1.0\]"):
-            fcm([0.0, 1.0, 2.0, 3.0], init)
+            fcm(TrainingSet([0.0, 1.0, 2.0, 3.0]), init)
 
     def test_init_without_finite_squared_distance_is_refused(self):
         # the squared distances overflowed, and the memberships went NaN
         with pytest.raises(DefinitionError, match="within the data's range"):
-            fcm([0.0, 1.0, 2.0, 3.0], [1e300, -1e300])
+            fcm(TrainingSet([0.0, 1.0, 2.0, 3.0]), [1e300, -1e300])
 
     @pytest.mark.parametrize(
         "init",
@@ -418,7 +446,7 @@ class TestFcm:
         # far-apart seeds both took every point at equal weight and merged
         # at 1.5; coincident ones were moved onto quantiles
         with pytest.raises(DefinitionError) as err:
-            fcm([0.0, 1.0, 2.0, 3.0, 3.0], init)
+            fcm(TrainingSet([0.0, 1.0, 2.0, 3.0, 3.0]), init)
         assert str(err.value) == (
             "a start needs 1 to 4 distinct centers within the data's range "
             f"[0.0, 3.0], got {[float(c) for c in init]}"
@@ -428,14 +456,15 @@ class TestFcm:
         # a valid start whose first two centers met: they came back as the
         # same bits, with two identical membership columns
         with pytest.raises(ElicitationError, match="merged clusters"):
-            fcm([0.0, 1.0, 2.0], [0.0, 1e-200, 2.0])
+            fcm(TrainingSet([0.0, 1.0, 2.0]), [0.0, 1e-200, 2.0])
 
     @given(sample_lists, st.floats(min_value=0.05, max_value=1.5))
     @settings(max_examples=100, deadline=None)
     def test_subtractive_seeds_are_a_valid_start(self, values, radius):
-        seeds = subtractive_clusters(values, radius)
+        data = TrainingSet(values)
+        seeds = subtractive_clusters(data, radius)
         try:
-            model = fcm(values, seeds)
+            model = fcm(data, seeds)
         except ElicitationError as err:
             # a span like 1e-205, whose squared distances underflow to 0,
             # puts every value on every center and merges them
@@ -446,7 +475,7 @@ class TestFcm:
     def test_wide_span_with_finite_square_clusters(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fcm([0.0, 1e150, 2e150, 3e150, 5.0], [5.0, 2e150])
+            model = fcm(TrainingSet([0.0, 1e150, 2e150, 3e150, 5.0]), [5.0, 2e150])
         assert np.all(np.isfinite(model.centers))
         assert np.all(np.isfinite(model.memberships))
         np.testing.assert_allclose(model.memberships.sum(axis=1), 1.0, atol=1e-12)
@@ -461,8 +490,8 @@ class TestDistinctValueWeighting:
         return np.concatenate([rng.normal(30.0, 8.0, 60), rng.normal(70.0, 8.0, 60)])
 
     def test_fcm_on_repeated_rows_matches_distinct(self, sample):
-        once = fcm(sample, [30.0, 70.0])
-        thrice = fcm(np.tile(sample, 3), [30.0, 70.0])
+        once = fcm(TrainingSet(sample), [30.0, 70.0])
+        thrice = fcm(TrainingSet(np.tile(sample, 3)), [30.0, 70.0])
         np.testing.assert_allclose(thrice.centers, once.centers, rtol=1e-12)
         # memberships near 0 move by the centers' rounding over their own
         # size, so they are held to 1e-12 of the unit membership scale
@@ -475,7 +504,7 @@ class TestDistinctValueWeighting:
         # 110 scores, 53 distinct, repeated up to 8 times: each repeat must
         # count as the loop oracle counts its row
         xs = individualism_data.values
-        model = fcm(xs, [20.0, 70.0])
+        model = fcm(TrainingSet(xs), [20.0, 70.0])
         centers, u, objective = reference_fcm(list(xs), 2, [20.0, 70.0])
         np.testing.assert_allclose(model.centers, centers, rtol=1e-12)
         np.testing.assert_allclose(model.memberships, u, rtol=1e-12, atol=1e-12)
@@ -494,8 +523,8 @@ class TestDistinctValueWeighting:
     def test_row_order_changes_no_bit(self, individualism_data):
         xs = individualism_data.values
         perm = np.random.default_rng(3).permutation(xs.size)
-        a = fcm(xs, [20.0, 70.0])
-        b = fcm(xs[perm], [20.0, 70.0])
+        a = fcm(TrainingSet(xs), [20.0, 70.0])
+        b = fcm(TrainingSet(xs[perm]), [20.0, 70.0])
         assert a.centers.tolist() == b.centers.tolist()
         assert a.memberships[perm].tolist() == b.memberships.tolist()
 
@@ -527,7 +556,7 @@ class TestDistinctValueWeighting:
 
     def test_membership_rows_follow_input_order(self):
         xs = np.array([9.0, 1.0, 5.0, 1.0, 9.0, 2.0, 5.0, 8.0, 1.0])
-        model = fcm(xs, [1.0, 8.0])
+        model = fcm(TrainingSet(xs), [1.0, 8.0])
         np.testing.assert_allclose(model.memberships, bezdek_rows(xs, model.centers), rtol=1e-12)
         for i, j in [(1, 3), (1, 8), (0, 4), (2, 6)]:
             assert model.memberships[i].tolist() == model.memberships[j].tolist()
@@ -603,7 +632,7 @@ def reference_fcm(xs, k, init, m=2.0, tol=1e-6, max_iter=500):
 class TestFcmAgainstReference:
     def test_matches_loop_oracle(self, two_blobs):
         init = np.quantile(two_blobs, [0.25, 0.75])
-        model = fcm(two_blobs, init)
+        model = fcm(TrainingSet(two_blobs), init)
         ref_centers, ref_u, ref_obj = reference_fcm(list(two_blobs), 2, init)
         order = np.argsort(ref_centers)
         np.testing.assert_allclose(model.centers, np.array(ref_centers)[order], atol=1e-6)
