@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -24,6 +25,11 @@ from .variables import VARIABLE_KINDS, CodeList, Interval, coverage_gaps
 
 # Largest |expected - actual| the reproduce command accepts, in output units.
 REPRODUCE_TOLERANCE = 5.0
+
+# Most cells the surface command tabulates, on one axis or over both.  A
+# larger STEPS is refused before any array is allocated; a mistyped one
+# would otherwise end in numpy's out-of-memory error.
+SURFACE_MAX_CELLS = 10**6
 
 _CASE_FIXTURES = {
     "1": "case1_distance.json",
@@ -104,7 +110,8 @@ def _parse_assignments(text: str, fis: FuzzyInferenceSystem) -> dict:
     return values
 
 
-def _parse_axis(text: str):
+def _parse_axis(text: str) -> tuple:
+    """VAR=LO:HI:STEPS as (VAR, LO, HI, STEPS), each checked."""
     name, sep, rest = text.partition("=")
     parts = rest.split(":")
     if not sep or not name.strip() or len(parts) != 3:
@@ -118,7 +125,9 @@ def _parse_axis(text: str):
         raise LingmapError(f"bad axis {text!r}: LO, HI and HI - LO must be finite")
     if steps < 1:
         raise LingmapError(f"bad axis {text!r}: steps must be at least 1")
-    return name.strip(), np.linspace(lo, hi, steps)
+    if steps > SURFACE_MAX_CELLS:
+        raise LingmapError(f"bad axis {text!r}: steps must be at most {SURFACE_MAX_CELLS}")
+    return name.strip(), lo, hi, steps
 
 
 def _default_variable_name(data_path: str) -> str:
@@ -203,6 +212,11 @@ def _cmd_surface(args) -> int:
     if len(args.axis) not in (1, 2):
         raise LingmapError("give --axis once or twice")
     axes = [_parse_axis(a) for a in args.axis]
+    if math.prod(steps for *_, steps in axes) > SURFACE_MAX_CELLS:
+        raise LingmapError(
+            f"a surface of {axes[0][3]} x {axes[1][3]} cells is more than {SURFACE_MAX_CELLS}"
+        )
+    axes = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in axes]
     fixed = _parse_assignments(args.fix, fis) if args.fix else {}
     for name, _ in axes:
         if name in fixed:

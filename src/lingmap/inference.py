@@ -5,7 +5,7 @@ max-aggregation -> center-of-area defuzzification, and every stage works on
 a batch of N input profiles at once:
 
 * degrees: each input's terms evaluated on the batch, a [terms, N] matrix
-  (all Gauss2 terms of an input in one array expression);
+  (one array expression for each shape among an input's terms);
 * firing strengths: a gather of each rule's antecedent rows, then a min;
 * aggregation: each consequent term is sampled once per system on the
   output grid and kept on its support, the slice from its first to its last
@@ -112,10 +112,10 @@ class FuzzyInferenceSystem:
 
         Each term a rule concludes is sampled once on the output grid, on
         the first inference, not at construction, and kept as its support:
-        the grid slice from its first to its last nonzero sample, and the
-        curve there.  A term with no nonzero sample is left out, as clipping
-        0 gives 0.  A term concluded by fewer than k rules repeats its
-        first, which leaves their max unchanged.
+        the grid slice from its first to its last nonzero sample, the curve
+        there, and whether it overlaps no earlier term's slice.  A term with
+        no nonzero sample is left out, as clipping 0 gives 0.  A term concluded
+        by fewer than k rules repeats its first, which leaves their max unchanged.
         """
         table = {}
         for name, var in self.outputs.items():
@@ -130,7 +130,8 @@ class FuzzyInferenceSystem:
                 nonzero = np.flatnonzero(curve)
                 if nonzero.size:
                     lo, hi = nonzero[0], nonzero[-1] + 1
-                    supports.append((slice(lo, hi), curve[lo:hi]))
+                    alone = all(hi <= s.start or s.stop <= lo for s, _, _ in supports)
+                    supports.append((slice(lo, hi), curve[lo:hi], alone))
                     index.append(rules)
             width = max(map(len, index), default=1)
             index = [rules + rules[:1] * (width - len(rules)) for rules in index]
@@ -138,8 +139,8 @@ class FuzzyInferenceSystem:
         return table
 
 
-def _batch_size(fis: FuzzyInferenceSystem, values: dict) -> int:
-    """N, the common length of the sequence inputs (1 if every input is one value)."""
+def _batch_size(fis: FuzzyInferenceSystem, values: dict) -> tuple[int, dict]:
+    """N, the common length of the sequence inputs (1 if none), and their lengths by name."""
     if values.keys() != fis.inputs.keys():
         # an unknown name first: a misspelt input is also a missing one, and
         # the misspelling is what the caller has to fix
@@ -156,7 +157,7 @@ def _batch_size(fis: FuzzyInferenceSystem, values: dict) -> int:
                 f"input '{name}' has {length} values, the others {n}: "
                 "sequence inputs must have one length"
             )
-    return n
+    return n, lengths
 
 
 def firing_strengths(fis: FuzzyInferenceSystem, values: dict) -> np.ndarray:
@@ -172,10 +173,11 @@ def firing_strengths(fis: FuzzyInferenceSystem, values: dict) -> np.ndarray:
             for name, var in fis.inputs.items()
             for degree in fuzzify(var, values[name]).values()
         ]
-        n = max((len(d) for d in degrees if isinstance(d, np.ndarray)), default=1)
-        matrix = np.empty((len(degrees), n))
-        for row, degree in enumerate(degrees):
-            matrix[row] = degree
+        try:
+            matrix = np.array(degrees)
+        except ValueError:
+            # rows of two lengths: single values broadcast over sequences
+            matrix = np.array(np.broadcast_arrays(*degrees))
     except (KeyError, ValueError):
         # a missing input, or sequences of two lengths: evaluate checks the
         # names and lengths once, before its chunks, so only a direct call
@@ -194,16 +196,19 @@ def infer(fis: FuzzyInferenceSystem, values: dict) -> dict[str, np.ndarray]:
     every input is one value.  A row is all zeros where no rule for that
     output fired.  values is as for firing_strengths.
     """
-    strengths = np.reshape(firing_strengths(fis, values), (-1, len(fis.rules)))
+    strengths = firing_strengths(fis, values).reshape(-1, len(fis.rules))
     curves = {}
     for name, (index, supports) in fis._consequents.items():
         # max_r min(c, s_r) = min(c, max_r s_r): one clip per term, at the
         # strongest of its rules, and only on its support, as min(0, s) = 0
-        term_strengths = strengths[:, index].max(axis=2)
+        clips = strengths.T[index].max(axis=1)[..., None]
         curve = np.zeros((len(strengths), fis.defuzz_resolution))
-        for t, (support, consequent) in enumerate(supports):
+        for (support, consequent, alone), clip in zip(supports, clips):
             part = curve[:, support]
-            np.maximum(part, np.minimum(consequent, term_strengths[:, t, None]), out=part)
+            if alone:  # the curve is still 0 there, and max(0, m) = m
+                np.minimum(consequent, clip, out=part)
+            else:
+                np.maximum(part, np.minimum(consequent, clip), out=part)
         curves[name] = curve
     return curves
 
@@ -226,16 +231,18 @@ def defuzzify_coa(curve: np.ndarray, domain: Interval, variable: str | None = No
             f"no rule fired{where}: the aggregated membership curve is zero everywhere"
         )
     grid = domain.grid(curve.shape[-1])
-    rows = curve.reshape(-1, grid.size)
-    moment = np.empty(len(rows))
     # the products are taken a quarter chunk at a time: a product as large
     # as the curves, freed beside them, lets glibc's malloc trim the heap
     # after each evaluate call, and the next call faults the pages back in
     # (about 300 minor faults per call on a 65-profile case-2 batch)
     block = max(1, _CHUNK_FLOATS // 4 // grid.size)
-    for lo in range(0, len(rows), block):
-        (rows[lo:lo + block] * grid).sum(axis=-1, out=moment[lo:lo + block])
-    value = moment.reshape(total.shape) / total
+    if total.size <= block:
+        moment = (curve * grid).sum(axis=-1)
+    else:  # so curve is [N, samples]
+        moment = np.empty(total.shape)
+        for lo in range(0, len(curve), block):
+            (curve[lo:lo + block] * grid).sum(axis=-1, out=moment[lo:lo + block])
+    value = moment / total
     # the exact centroid cannot leave [lo, hi]; clip ulp-level rounding spill
     if curve.ndim == 1:
         return min(max(float(value), domain.lo), domain.hi)
@@ -248,7 +255,7 @@ def _no_rule_fired(fis: FuzzyInferenceSystem, values: dict, row: int, exc) -> No
     Validates every input first: a value outside its domain anywhere in the
     batch outranks a profile for which no rule fired.
     """
-    columns = {name: _column(var, values[name]) for name, var in fis.inputs.items()}
+    columns = {name: _column(var, values[name])[0] for name, var in fis.inputs.items()}
     pairs = []
     for name, column in columns.items():
         value = column[row if len(column) > 1 else 0]
@@ -272,27 +279,30 @@ def evaluate(fis: FuzzyInferenceSystem, values: dict) -> dict:
     non-numeric text included), before any NoRuleFiredError, which names
     the inputs of the first profile for which no rule fired.
     """
-    n = _batch_size(fis, values)
+    n, lengths = _batch_size(fis, values)
     step = max(1, _CHUNK_FLOATS // fis.defuzz_resolution)
-    outputs = {name: np.empty(n) for name in fis.outputs}
-    for lo in range(0, n, step):
-        chunk = values
-        if n > step:
-            chunk = {
-                name: v if _single(v) or len(v) == 1 else v[lo:lo + step]
-                for name, v in values.items()
-            }
-        for name, curve in infer(fis, chunk).items():
-            try:
-                outputs[name][lo:lo + step] = defuzzify_coa(
-                    curve, fis.outputs[name].domain, variable=name
-                )
-            except NoRuleFiredError as exc:
-                row = lo + int(np.argmax(curve.sum(axis=-1) <= 0.0))
-                raise _no_rule_fired(fis, values, row, exc) from None
-        # free this chunk's curves before the next chunk makes its own, for
-        # the same reason as the blocks in defuzzify_coa
-        del curve
-    if all(_single(v) for v in values.values()):
+    if n <= step:
+        outputs = _centroids(fis, values, values, 0)
+    else:
+        outputs = {name: np.empty(n) for name in fis.outputs}
+        for lo in range(0, n, step):
+            chunk = {name: v[lo:lo + step] if lengths.get(name) == n else v
+                     for name, v in values.items()}
+            for name, centroids in _centroids(fis, values, chunk, lo).items():
+                outputs[name][lo:lo + step] = centroids
+    if not lengths:
         return {name: float(out[0]) for name, out in outputs.items()}
+    return outputs
+
+
+def _centroids(fis: FuzzyInferenceSystem, values: dict, chunk: dict, lo: int) -> dict:
+    """The outputs of chunk, the profiles of values from row lo on.  Its curves
+    are freed on return, for the same reason as the blocks in defuzzify_coa."""
+    outputs = {}
+    for name, curve in infer(fis, chunk).items():
+        try:
+            outputs[name] = defuzzify_coa(curve, fis.outputs[name].domain, variable=name)
+        except NoRuleFiredError as exc:
+            row = lo + int(np.argmax(curve.sum(axis=-1) <= 0.0))
+            raise _no_rule_fired(fis, values, row, exc) from None
     return outputs

@@ -12,23 +12,39 @@ from .errors import DefinitionError
 
 
 def _gauss2_params(shapes) -> np.ndarray:
-    """[3, 2, shapes]: alpha, beta and gamma * gamma of both bumps of each Gauss2."""
+    """[3, 2, shapes]: alpha, beta and -gamma * gamma of both bumps of each Gauss2."""
     return np.array([
         [[s.alpha1 for s in shapes], [s.alpha2 for s in shapes]],
         [[s.beta1 for s in shapes], [s.beta2 for s in shapes]],
-        [[s.gamma1 * s.gamma1 for s in shapes], [s.gamma2 * s.gamma2 for s in shapes]],
+        [[-s.gamma1 * s.gamma1 for s in shapes], [-s.gamma2 * s.gamma2 for s in shapes]],
     ])
 
 
 def _gauss2(params, x) -> np.ndarray:
-    """Each Gauss2 of params (from _gauss2_params) at x: [shapes, *x.shape].
+    """Each Gauss2 of params at x, [shapes, *x.shape]: params is _gauss2_params
+    with axes added to broadcast against x.
 
     One array expression for every shape, so a variable's Gauss2 terms cost
-    the numpy calls of one term.
+    the numpy calls of one term; x / -w is the bits of -x / w, so no negation.
     """
-    alpha, beta, width2 = params.reshape(params.shape + (1,) * x.ndim)
-    weighted = alpha * np.exp(-((x - beta) ** 2) / width2)
+    alpha, beta, neg_width2 = params
+    weighted = alpha * np.exp((x - beta) ** 2 / neg_width2)
     return np.minimum(np.maximum(weighted[0] + weighted[1], 0.0), 1.0)
+
+
+def _trapezoid_params(shapes) -> np.ndarray:
+    """[6, shapes]: a, b, b - a, c, d and d - c of each trapezoid (see Trapezoid)."""
+    return np.array([[s._edges[i] for s in shapes] for i in range(6)])
+
+
+def _trapezoid(params, x) -> np.ndarray:
+    """Each trapezoid of params at x, params as in _gauss2 (or one trapezoid's _edges,
+    giving x.shape): the lesser of the rising and falling edges, x clamped onto
+    each, so each quotient lies in [0, 1]."""
+    a, b, rise, c, d, fall = params
+    up = (np.minimum(np.maximum(x, a), b) - a) / rise
+    down = (d - np.minimum(np.maximum(x, c), d)) / fall
+    return np.minimum(up, down)
 
 
 def _require_finite(shape) -> None:
@@ -43,9 +59,11 @@ class Trapezoid:
     """Piecewise-linear trapezoid with breakpoints a <= b <= c <= d.
 
     Degenerate edges (a == b, c == d) give vertical shoulders, so left and
-    right shoulder shapes and rectangles are all expressible.  Breakpoints
-    may lie outside the owning variable's domain; only in-domain values are
-    ever evaluated.
+    right shoulder shapes and rectangles are all expressible.  A vertical
+    edge is evaluated as a ramp from the float below b (or to the float above
+    c), which no float lies strictly inside, so it gives a step's bits.
+    Breakpoints may lie outside the owning variable's domain; only in-domain
+    values are ever evaluated.
     """
 
     tag: ClassVar[str] = "trapezoid"
@@ -56,24 +74,19 @@ class Trapezoid:
 
     def __post_init__(self):
         _require_finite(self)
-        # an edge width that overflows would divide to 0 or NaN in __call__
-        widths = (self.b - self.a, self.d - self.c)
-        if not (self.a <= self.b <= self.c <= self.d and all(map(math.isfinite, widths))):
+        # _edges: a, b, b - a, c, d and d - c, each vertical edge a ramp; a width
+        # that overflows (or a ramp past -max or max) would divide to 0 or NaN
+        a = min(self.a, math.nextafter(self.b, -math.inf))
+        d = max(self.d, math.nextafter(self.c, math.inf))
+        object.__setattr__(self, "_edges", (a, self.b, self.b - a, self.c, d, d - self.c))
+        if not (self.a <= self.b <= self.c <= self.d and all(map(math.isfinite, self._edges))):
             raise DefinitionError(
-                "trapezoid breakpoints must satisfy a <= b <= c <= d, with finite edge "
-                f"widths b - a and d - c, got ({self.a}, {self.b}, {self.c}, {self.d})"
+                "trapezoid breakpoints must satisfy a <= b <= c <= d, with finite edge widths b - a"
+                f" and d - c, one ulp if vertical, got ({self.a}, {self.b}, {self.c}, {self.d})"
             )
 
     def __call__(self, x):
-        # the lesser of the rising and the falling edge; x is clamped onto
-        # each edge first, so each quotient lies in [0, 1] and cannot
-        # overflow however narrow the edge.  A vertical edge is a step, so
-        # no breakpoint is divided by zero
-        arr = np.asarray(x, dtype=float)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        up = (np.minimum(np.maximum(arr, a), b) - a) / (b - a) if b > a else (arr >= b) * 1.0
-        down = (d - np.minimum(np.maximum(arr, c), d)) / (d - c) if d > c else (arr <= c) * 1.0
-        return np.minimum(up, down)
+        return _trapezoid(self._edges, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,7 +120,9 @@ class Gauss2:
             )
 
     def __call__(self, x):
-        return _gauss2(_gauss2_params([self]), np.asarray(x, dtype=float))[0]
+        arr = np.asarray(x, dtype=float)
+        params = _gauss2_params([self])
+        return _gauss2(params.reshape(params.shape + (1,) * arr.ndim), arr)[0]
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,8 @@ class CrispLabel:
 
 
 MembershipFunction = Union[Trapezoid, Gauss2, CrispLabel]
+# shape -> (stacked parameters of a list of its shapes, the kernel evaluating them all)
+_KERNELS = {Gauss2: (_gauss2_params, _gauss2), Trapezoid: (_trapezoid_params, _trapezoid)}
 
 # Catalog JSON tag -> shape class; dataio reads each shape's fields from here.
 SHAPES: dict[str, type] = {cls.tag: cls for cls in get_args(MembershipFunction)}

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DefinitionError, DomainError, EvaluationError
-from .membership import CrispLabel, Gauss2, MembershipFunction, Trapezoid, _gauss2, _gauss2_params
+from .membership import _KERNELS, CrispLabel, Gauss2, MembershipFunction, Trapezoid
 
 VARIABLE_KINDS = ("nominal", "ordinal", "interval", "ratio")
 
@@ -107,10 +107,14 @@ class LinguisticVariable:
                 )
 
     @cached_property
-    def _gauss2_terms(self) -> tuple[list, np.ndarray]:
-        """The names of the Gauss2 terms and their stacked parameters, built once."""
-        names = [term for term, mf in self.terms.items() if isinstance(mf, Gauss2)]
-        return names, _gauss2_params([self.terms[term] for term in names])
+    def _stacks(self) -> list[tuple[list, object, np.ndarray]]:
+        """(term names, kernel, parameters stacked for a 1-D column) per shape, built once."""
+        stacks = []
+        for shape, (params, kernel) in _KERNELS.items():
+            names = [term for term, mf in self.terms.items() if isinstance(mf, shape)]
+            if names:
+                stacks.append((names, kernel, params([self.terms[t] for t in names])[..., None]))
+        return stacks
 
 
 def _single(x) -> bool:
@@ -120,8 +124,8 @@ def _single(x) -> bool:
     return isinstance(x, str) or not hasattr(x, "__len__")
 
 
-def _column(var: LinguisticVariable, x):
-    """x as a 1-D column of in-domain values: floats, or codes on a code list.
+def _column(var: LinguisticVariable, x) -> tuple:
+    """x as a 1-D column of in-domain values (floats, or codes), and whether x is one value.
 
     Raises DomainError naming the first value outside the domain, where NaN
     and text that is not a number are outside every interval domain.
@@ -132,7 +136,7 @@ def _column(var: LinguisticVariable, x):
         for code in codes:
             if code not in var.domain.codes:
                 raise DomainError(var.name, var.domain, code)
-        return codes
+        return codes, single
     values = [x] if single else x
     try:
         column = np.asarray(values, dtype=float)
@@ -157,7 +161,7 @@ def _column(var: LinguisticVariable, x):
     if not inside:
         first = np.flatnonzero(~((column >= lo) & (column <= hi)))[0]
         raise DomainError(var.name, var.domain, x if single else column[first].item())
-    return column
+    return column, single
 
 
 def fuzzify(var: LinguisticVariable, x) -> dict:
@@ -165,19 +169,19 @@ def fuzzify(var: LinguisticVariable, x) -> dict:
 
     x is one value, or a 1-D sequence of values (an array of numbers, or a
     sequence of codes on a code-list domain).  One value gives a float per
-    term, a sequence an array per term.  Either way every term is evaluated
-    on a 1-D array, so a value's degrees are the same bits alone or in a
-    batch.  Raises DomainError naming the first value outside the domain
+    term, a sequence an array per term.  Either way interval terms are
+    evaluated on a 1-D array, so a value's degrees are the same bits alone or
+    in a batch.  Raises DomainError naming the first value outside the domain
     (or not a listed code); out-of-domain inputs are never clamped.
     """
-    column = _column(var, x)
-    names, params = var._gauss2_terms
-    stacked = dict(zip(names, _gauss2(params, column))) if names else {}
-    degrees = {term: stacked[term] if term in stacked else mf(column)
-               for term, mf in var.terms.items()}
-    if _single(x):
-        return {term: float(d[0]) for term, d in degrees.items()}
-    return degrees
+    column, single = _column(var, x)
+    if isinstance(var.domain, CodeList):
+        return {term: mf(x if single else column) for term, mf in var.terms.items()}
+    degrees = {}
+    for names, kernel, params in var._stacks:
+        rows = kernel(params, column)
+        degrees.update(zip(names, rows[:, 0].tolist() if single else rows))
+    return degrees if len(var._stacks) == 1 else {term: degrees[term] for term in var.terms}
 
 
 def _coverage(var: LinguisticVariable, points) -> np.ndarray:

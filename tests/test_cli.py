@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output shapes, error reporting."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -318,6 +319,29 @@ class TestSurface:
         args = ["surface", "--fis", case1_path, "--axis", "individualism=0:100:0"]
         assert cli.main(args) == 2
         assert "steps must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            # one axis of 10**15 steps asked numpy for 7.11 PiB
+            (["individualism=0:100:1000000000000000"], "steps must be at most 1000000"),
+            (["individualism=0:100:1000001"], "steps must be at most 1000000"),
+            (["individualism=0:100:1000000", "gender=0:1:2"], "1000000 x 2 cells is more than"),
+        ],
+    )
+    def test_too_many_cells_refused_before_allocating(self, capsys, case2_path, axes, message):
+        args = ["surface", "--fis", case2_path]
+        for axis in axes:
+            args += ["--axis", axis]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in capsys.readouterr().err
+        # one axis of 10**6 steps would take 8 MB
+        assert peak < 2**20
 
     def test_multi_output_system_rejected(self, capsys, tmp_path):
         x = LinguisticVariable("x", "ratio", Interval(0, 10), {"low": Trapezoid(0, 0, 4, 8)})

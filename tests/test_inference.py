@@ -487,7 +487,7 @@ class TestSupportAggregation:
         fis = AGGREGATION_SYSTEMS["gauss2 consequent"]
         index, supports = fis._consequents["z"]
         grid = fis.output_grid("z")
-        for (support, curve), term in zip(supports, ("g", "t")):
+        for (support, curve, _), term in zip(supports, ("g", "t")):
             full = fis.outputs["z"].terms[term](grid)
             nonzero = np.flatnonzero(full)
             assert (support.start, support.stop) == (nonzero[0], nonzero[-1] + 1)

@@ -1,12 +1,14 @@
 """Membership function shapes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid
+from lingmap.membership import _trapezoid, _trapezoid_params
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -90,20 +92,62 @@ class TestTrapezoid:
             return out
 
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            abcd = np.sort(rng.uniform(-10.0, 10.0, 4))
-            # vertical edges and coincident plateau ends
-            if rng.random() < 0.2:
-                abcd[1] = abcd[0]
-            if rng.random() < 0.2:
-                abcd[3] = abcd[2]
-            if rng.random() < 0.1:
-                abcd[2] = abcd[1]
-            xs = np.concatenate([rng.uniform(-12.0, 12.0, 200), abcd, np.nextafter(abcd, 99.0)])
-            mf = Trapezoid(*abcd.tolist())
-            got = mf(xs)
-            assert got.tolist() == masked(*abcd, xs).tolist()
-            assert [mf(float(x)) for x in xs] == got.tolist()
+        for _ in range(100):
+            shapes = []
+            for _ in range(4):
+                abcd = np.sort(rng.uniform(-10.0, 10.0, 4))
+                # vertical edges and coincident plateau ends
+                if rng.random() < 0.2:
+                    abcd[1] = abcd[0]
+                if rng.random() < 0.2:
+                    abcd[3] = abcd[2]
+                if rng.random() < 0.1:
+                    abcd[2] = abcd[1]
+                shapes.append(abcd)
+            # vertical edges at 0.0, met by -0.0 and by the floats beside 0
+            shapes.append(np.array([0.0, 0.0, 0.0, 0.0]))
+            shapes.append(np.array([-1.0, 0.0, 0.0, 1.0]))
+            breakpoints = np.concatenate(shapes)
+            xs = np.concatenate([
+                rng.uniform(-12.0, 12.0, 200), breakpoints, np.nextafter(breakpoints, 99.0),
+                np.nextafter(breakpoints, -99.0), [-0.0, 5e-324, -5e-324],
+            ])
+            mfs = [Trapezoid(*abcd.tolist()) for abcd in shapes]
+            stacked = _trapezoid(_trapezoid_params(mfs)[..., None], xs)
+            for mf, abcd, row in zip(mfs, shapes, stacked):
+                got = mf(xs)
+                assert got.tolist() == row.tolist() == masked(*abcd, xs).tolist()
+                assert [mf(float(x)) for x in xs] == got.tolist()
+
+    def test_vertical_edge_at_zero_meets_negative_zero(self):
+        # the one-ulp ramp below 0.0 starts at -5e-324, so -0.0 is on the step
+        for abcd in ((0.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+            mf = Trapezoid(*abcd)
+            assert mf(np.array([-0.0, 0.0])).tolist() == [1.0, 1.0]
+            assert mf(-0.0) == 1.0
+        assert Trapezoid(0.0, 0.0, 1.0, 2.0)(-5e-324) == 0.0
+        assert Trapezoid(-2.0, -1.0, 0.0, 0.0)(5e-324) == 0.0
+
+    @pytest.mark.parametrize(
+        "abcd",
+        [
+            (-sys.float_info.max, -sys.float_info.max, 0.0, 1.0),
+            (0.0, 1.0, sys.float_info.max, sys.float_info.max),
+            (sys.float_info.max,) * 4,
+            (-sys.float_info.max,) * 4,
+        ],
+    )
+    def test_vertical_edge_at_max_is_refused(self, abcd):
+        # no float lies beyond it, so it has no one-ulp ramp
+        with pytest.raises(DefinitionError, match="one ulp if vertical"):
+            Trapezoid(*abcd)
+
+    def test_vertical_edge_one_float_inside_max_is_a_step(self):
+        big = sys.float_info.max
+        near = math.nextafter(big, 0.0)
+        # the ramps run from -max to -near and from near to max
+        mf = Trapezoid(-near, -near, near, near)
+        assert mf(np.array([-big, -near, 0.0, near, big])).tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
 
 
 class TestGauss2:

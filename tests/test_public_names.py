@@ -1,9 +1,12 @@
 """The names lingmap exports, and the names the benchmark's tracer patches."""
 
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
 import lingmap
+import lingmap.dataio
+import lingmap.inference
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -28,3 +31,33 @@ def test_tracer_targets_exist():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_traced_evaluate_reaches_every_inference_layer():
+    # each per-layer metric of the benchmark's profiles and surface workloads
+    # comes from one of these spans or counts; a layer that is no longer
+    # called through the name the tracer patches leaves its metric empty
+    # and the traced benchmark run fails
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        # loaded fresh, so the consequents are sampled under this infer
+        with resources.as_file(
+            resources.files("lingmap").joinpath("fixtures", "case2_distance_gender.json")
+        ) as path:
+            fis = lingmap.dataio.load_catalog(path).fis
+        lingmap.inference.evaluate(fis, {"individualism": 38.0, "gender": 1.0})
+        lingmap.inference.evaluate(fis, {"individualism": [20.0, 50.0, 80.0], "gender": 0.0})
+    finally:
+        tracer.uninstall()
+    spans = {
+        "inference.evaluate": 2,
+        "inference.infer": 2,
+        "inference.firing_strengths": 2,
+        "variables.fuzzify": 4,
+        "inference.defuzzify_coa": 2,
+    }
+    assert {name: tracer.stats[name].calls for name in spans} == spans
+    assert tracer.stats["inference.output_grid"].calls > 0
+    assert tracer.counts["membership.grid_calls"] > 0
+    assert tracer.counts["inference.rules_fired"] > 0

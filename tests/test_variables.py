@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingmap import (
     CodeList,
@@ -157,3 +158,41 @@ class TestCoverage:
             "x", "nominal", CodeList(["a", "b", "c"]), {"t": CrispLabel(["a"])}
         )
         assert coverage_gaps(var) == ["b", "c"]
+
+
+@st.composite
+def mixed_terms(draw) -> dict:
+    """One to five Gauss2 and trapezoid terms around the domain [0, 10]."""
+    place = st.floats(-5.0, 15.0)
+    terms = {}
+    for i in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            a, b, c, d = sorted(draw(st.lists(place, min_size=4, max_size=4)))
+            # vertical edges, including both at once
+            if draw(st.booleans()):
+                a = b
+            if draw(st.booleans()):
+                d = c
+            terms[f"t{i}"] = Trapezoid(a, b, c, d)
+        else:
+            alphas = st.floats(-1.0, 1.5)
+            gammas = st.floats(0.05, 10.0)
+            terms[f"t{i}"] = Gauss2(
+                draw(alphas), draw(place), draw(gammas), draw(alphas), draw(place), draw(gammas)
+            )
+    return terms
+
+
+@given(mixed_terms(), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
+def test_fuzzify_is_each_terms_bits(terms, xs):
+    # the terms are evaluated stacked, one array expression per shape, and
+    # must give each term's own bits, in the terms' order
+    # (compared as bytes, so that -0.0 is not 0.0)
+    var = LinguisticVariable("x", "ratio", Interval(0.0, 10.0), terms)
+    batch = fuzzify(var, xs)
+    single = fuzzify(var, xs[0])
+    assert list(batch) == list(single) == list(terms)
+    for term, mf in terms.items():
+        assert batch[term].tobytes() == mf(np.array(xs)).tobytes()
+        assert type(single[term]) is float
+        assert np.float64(single[term]).tobytes() == mf(np.array(xs[:1])).tobytes()
