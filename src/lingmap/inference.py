@@ -44,6 +44,10 @@ from .variables import Interval, LinguisticVariable, _column, _single, fuzzify
 # [profiles, grid] aggregated curves, holds at most this many floats (512 KiB)
 _CHUNK_FLOATS = 1 << 16
 
+# the largest defuzz_resolution: the output grid and each term's samples on
+# it are this many floats, 8 MB, so a catalog cannot ask for more memory
+MAX_DEFUZZ_RESOLUTION = 10**6
+
 
 @dataclass(frozen=True)
 class FuzzyInferenceSystem:
@@ -65,8 +69,11 @@ class FuzzyInferenceSystem:
         object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise DefinitionError("an inference system needs at least one rule")
-        if not isinstance(self.defuzz_resolution, int) or self.defuzz_resolution < 2:
-            raise DefinitionError("defuzz_resolution must be an integer >= 2")
+        resolution = self.defuzz_resolution
+        if not isinstance(resolution, int) or not 2 <= resolution <= MAX_DEFUZZ_RESOLUTION:
+            raise DefinitionError(
+                f"defuzz_resolution must be an integer from 2 to {MAX_DEFUZZ_RESOLUTION}"
+            )
         for name, var in {**self.inputs, **self.outputs}.items():
             if name != var.name:
                 raise DefinitionError(

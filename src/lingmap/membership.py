@@ -11,18 +11,9 @@ import numpy as np
 from .errors import DefinitionError
 
 
-def _gauss2_params(shapes) -> np.ndarray:
-    """[3, 2, shapes]: alpha, beta and -gamma * gamma of both bumps of each Gauss2."""
-    return np.array([
-        [[s.alpha1 for s in shapes], [s.alpha2 for s in shapes]],
-        [[s.beta1 for s in shapes], [s.beta2 for s in shapes]],
-        [[-s.gamma1 * s.gamma1 for s in shapes], [-s.gamma2 * s.gamma2 for s in shapes]],
-    ])
-
-
 def _gauss2(params, x) -> np.ndarray:
-    """Each Gauss2 of params at x, [shapes, *x.shape]: params is _gauss2_params
-    with axes added to broadcast against x.
+    """Each Gauss2 of params at x, [shapes, *x.shape]: params is the Gauss2 _params (alphas,
+    betas and -gamma**2 of both bumps) on a last shapes axis, with axes added for x.
 
     One array expression for every shape, so a variable's Gauss2 terms cost
     the numpy calls of one term; x / -w is the bits of -x / w, so no negation.
@@ -32,13 +23,8 @@ def _gauss2(params, x) -> np.ndarray:
     return np.minimum(np.maximum(weighted[0] + weighted[1], 0.0), 1.0)
 
 
-def _trapezoid_params(shapes) -> np.ndarray:
-    """[6, shapes]: a, b, b - a, c, d and d - c of each trapezoid (see Trapezoid)."""
-    return np.array([[s._edges[i] for s in shapes] for i in range(6)])
-
-
 def _trapezoid(params, x) -> np.ndarray:
-    """Each trapezoid of params at x, params as in _gauss2 (or one trapezoid's _edges,
+    """Each trapezoid of params at x, params as in _gauss2 (or one trapezoid's _params,
     giving x.shape): the lesser of the rising and falling edges, x clamped onto
     each, so each quotient lies in [0, 1]."""
     a, b, rise, c, d, fall = params
@@ -59,11 +45,11 @@ class Trapezoid:
     """Piecewise-linear trapezoid with breakpoints a <= b <= c <= d.
 
     Degenerate edges (a == b, c == d) give vertical shoulders, so left and
-    right shoulder shapes and rectangles are all expressible.  A vertical
-    edge is evaluated as a ramp from the float below b (or to the float above
-    c), which no float lies strictly inside, so it gives a step's bits.
-    Breakpoints may lie outside the owning variable's domain; only in-domain
-    values are ever evaluated.
+    right shoulder shapes and rectangles are all expressible.  _params holds
+    a, b, b - a, c, d and d - c for _trapezoid, a vertical edge as a ramp from
+    the float below b (or to the float above c), which no float lies strictly
+    inside, so it gives a step's bits.  Breakpoints may lie outside the owning
+    variable's domain; only in-domain values are ever evaluated.
     """
 
     tag: ClassVar[str] = "trapezoid"
@@ -74,19 +60,18 @@ class Trapezoid:
 
     def __post_init__(self):
         _require_finite(self)
-        # _edges: a, b, b - a, c, d and d - c, each vertical edge a ramp; a width
-        # that overflows (or a ramp past -max or max) would divide to 0 or NaN
+        # a width that overflows (or a ramp past -max or max) would divide to 0 or NaN
         a = min(self.a, math.nextafter(self.b, -math.inf))
         d = max(self.d, math.nextafter(self.c, math.inf))
-        object.__setattr__(self, "_edges", (a, self.b, self.b - a, self.c, d, d - self.c))
-        if not (self.a <= self.b <= self.c <= self.d and all(map(math.isfinite, self._edges))):
+        object.__setattr__(self, "_params", (a, self.b, self.b - a, self.c, d, d - self.c))
+        if not (self.a <= self.b <= self.c <= self.d and all(map(math.isfinite, self._params))):
             raise DefinitionError(
                 "trapezoid breakpoints must satisfy a <= b <= c <= d, with finite edge widths b - a"
                 f" and d - c, one ulp if vertical, got ({self.a}, {self.b}, {self.c}, {self.d})"
             )
 
     def __call__(self, x):
-        return _trapezoid(self._edges, np.asarray(x, dtype=float))
+        return _trapezoid(self._params, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -118,11 +103,13 @@ class Gauss2:
                 f"gauss2 widths must be positive with a finite nonzero square, got "
                 f"gamma1={self.gamma1}, gamma2={self.gamma2}"
             )
+        neg_width2 = (-self.gamma1 * self.gamma1, -self.gamma2 * self.gamma2)
+        params = ((self.alpha1, self.alpha2), (self.beta1, self.beta2), neg_width2)
+        object.__setattr__(self, "_params", params)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        params = _gauss2_params([self])
-        return _gauss2(params.reshape(params.shape + (1,) * arr.ndim), arr)[0]
+        return _gauss2(np.reshape(self._params, (3, 2) + (1,) * arr.ndim), arr)
 
 
 @dataclass(frozen=True)
@@ -152,8 +139,8 @@ class CrispLabel:
 
 
 MembershipFunction = Union[Trapezoid, Gauss2, CrispLabel]
-# shape -> (stacked parameters of a list of its shapes, the kernel evaluating them all)
-_KERNELS = {Gauss2: (_gauss2_params, _gauss2), Trapezoid: (_trapezoid_params, _trapezoid)}
+# interval shape -> the kernel evaluating its shapes' _params stacked on a last axis
+_KERNELS = {Gauss2: _gauss2, Trapezoid: _trapezoid}
 
 # Catalog JSON tag -> shape class; dataio reads each shape's fields from here.
 SHAPES: dict[str, type] = {cls.tag: cls for cls in get_args(MembershipFunction)}

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DefinitionError, DomainError, EvaluationError
-from .membership import _KERNELS, CrispLabel, Gauss2, MembershipFunction, Trapezoid
+from .membership import _KERNELS, CrispLabel, MembershipFunction
 
 VARIABLE_KINDS = ("nominal", "ordinal", "interval", "ratio")
 
@@ -59,9 +59,6 @@ class CodeList:
         return "{" + ", ".join(str(c) for c in self.codes) + "}"
 
 
-Domain = Interval | CodeList
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named variable whose values are words grounded in membership functions.
@@ -100,7 +97,7 @@ class LinguisticVariable:
                         f"variable '{self.name}': term '{term}' matches codes "
                         f"{sorted(extra)} outside the domain {self.domain}"
                     )
-            elif not isinstance(mf, (Trapezoid, Gauss2)):
+            elif not isinstance(mf, tuple(_KERNELS)):
                 raise DefinitionError(
                     f"variable '{self.name}': term '{term}' must be a trapezoid or "
                     "gauss2 shape on an interval domain"
@@ -108,12 +105,13 @@ class LinguisticVariable:
 
     @cached_property
     def _stacks(self) -> list[tuple[list, object, np.ndarray]]:
-        """(term names, kernel, parameters stacked for a 1-D column) per shape, built once."""
+        """(term names, kernel, their _params stacked on a last axis, C-contiguous) per shape."""
         stacks = []
-        for shape, (params, kernel) in _KERNELS.items():
+        for shape, kernel in _KERNELS.items():
             names = [term for term, mf in self.terms.items() if isinstance(mf, shape)]
             if names:
-                stacks.append((names, kernel, params([self.terms[t] for t in names])[..., None]))
+                params = np.stack([self.terms[t]._params for t in names], axis=-1)
+                stacks.append((names, kernel, params[..., None]))
         return stacks
 
 
@@ -186,7 +184,7 @@ def fuzzify(var: LinguisticVariable, x) -> dict:
 
 def _coverage(var: LinguisticVariable, points) -> np.ndarray:
     """The best term degree at each of points, which lie in var's domain."""
-    return np.max([mf(points) for mf in var.terms.values()], axis=0)
+    return np.max(list(fuzzify(var, points).values()), axis=0)
 
 
 def coverage_gaps(var: LinguisticVariable):

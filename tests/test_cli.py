@@ -532,6 +532,27 @@ class TestValidate:
         assert "finite edge widths" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["eval", "--in", "individualism=38", "--fis"]]
+    )
+    def test_resolution_above_the_bound(self, capsys, tmp_path, case1_path, command):
+        # 10**12 points passed validate, and eval asked numpy for 7.28 TiB
+        with open(case1_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["fis"]["defuzz_resolution"] = 10**12
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert cli.main([*command, str(bad)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("error: /fis: defuzz_resolution must be an integer from 2 to 1000000")
+        assert "Traceback" not in err
+        assert peak < 2**20
+
 
 class TestTopLevel:
     def test_version(self, capsys):

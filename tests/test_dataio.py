@@ -28,6 +28,7 @@ from lingmap import (
     save_catalog,
 )
 from lingmap.dataio import catalog_from_doc
+from lingmap.inference import MAX_DEFUZZ_RESOLUTION
 from lingmap.membership import SHAPES
 
 
@@ -343,6 +344,12 @@ class TestJsonSchemaDocument:
         bad = minimal_doc(schema_version=99)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
+
+    def test_resolution_bound_matches_the_loader(self):
+        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
+        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
+        resolution = schema["properties"]["fis"]["properties"]["defuzz_resolution"]
+        assert resolution["maximum"] == MAX_DEFUZZ_RESOLUTION
 
     def test_membership_branches_match_shape_classes(self):
         schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")

@@ -255,6 +255,25 @@ class TestSubtractiveAgainstDense:
         # and the bound is tight enough to leave few candidates
         assert bound <= 1e-9 * dense.max()
 
+    @pytest.mark.parametrize("gather", [1, 3, 7])
+    @pytest.mark.parametrize("radius", [0.05, 0.1])
+    @pytest.mark.parametrize("kind", REGIMES)
+    def test_gather_loop_past_its_first_block(self, kind, radius, gather, monkeypatch):
+        # no sample here occupies more than 41 boxes, so at the shipped
+        # _GATHER the loop runs one block; a few boxes per block make it run
+        # many, each a separate product, so only the bound holds, not the bits
+        monkeypatch.setattr(elicit, "_GATHER", gather)
+        xs = regime_sample(kind, 1500)
+        got = subtractive_clusters(TrainingSet(xs), radius)
+        assert got.tolist() == dense_subtractive_clusters(xs, radius).tolist()
+        zs = np.sort(xs)
+        zs = (zs - zs[0]) / (zs[-1] - zs[0])
+        uz, counts = np.unique(zs, return_counts=True)
+        approx, bound = elicit._potentials(uz, counts.astype(float), radius / 2.0)
+        alpha = -4.0 / radius**2
+        dense = np.array([np.exp(alpha * np.square(z - zs)).sum() for z in uz])
+        assert np.abs(approx - dense).max() <= bound
+
     def test_fixture_dataset(self, individualism_data):
         xs = individualism_data.values
         for radius in (0.15, 0.5, 1.0):

@@ -20,7 +20,7 @@ from lingmap import (
     evaluate,
     parse_rules,
 )
-from lingmap.inference import defuzzify_coa, firing_strengths, infer
+from lingmap.inference import MAX_DEFUZZ_RESOLUTION, defuzzify_coa, firing_strengths, infer
 
 
 def make_fis(resolution=1001):
@@ -76,8 +76,11 @@ class TestConstruction:
             FuzzyInferenceSystem(fis.inputs, {"temp": fis.inputs["temp"]}, rules)
 
     def test_resolution_validated(self):
-        with pytest.raises(DefinitionError):
-            make_fis(resolution=1)
+        for resolution in (1, MAX_DEFUZZ_RESOLUTION + 1):
+            with pytest.raises(DefinitionError, match="defuzz_resolution"):
+                make_fis(resolution=resolution)
+        # the grid is sampled on first use, so the bound itself builds nothing
+        assert make_fis(resolution=MAX_DEFUZZ_RESOLUTION).defuzz_resolution == 10**6
 
     @pytest.mark.parametrize("empty", ["inputs", "outputs"])
     def test_needs_inputs_and_outputs(self, empty):

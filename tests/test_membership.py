@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lingmap import CrispLabel, DefinitionError, Gauss2, Trapezoid
-from lingmap.membership import _trapezoid, _trapezoid_params
+from lingmap.membership import _trapezoid
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -113,7 +113,7 @@ class TestTrapezoid:
                 np.nextafter(breakpoints, -99.0), [-0.0, 5e-324, -5e-324],
             ])
             mfs = [Trapezoid(*abcd.tolist()) for abcd in shapes]
-            stacked = _trapezoid(_trapezoid_params(mfs)[..., None], xs)
+            stacked = _trapezoid(np.stack([mf._params for mf in mfs], axis=-1)[..., None], xs)
             for mf, abcd, row in zip(mfs, shapes, stacked):
                 got = mf(xs)
                 assert got.tolist() == row.tolist() == masked(*abcd, xs).tolist()

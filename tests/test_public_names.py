@@ -6,6 +6,7 @@ from pathlib import Path
 
 import lingmap
 import lingmap.dataio
+import lingmap.elicit
 import lingmap.inference
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -61,3 +62,32 @@ def test_traced_evaluate_reaches_every_inference_layer():
     assert tracer.stats["inference.output_grid"].calls > 0
     assert tracer.counts["membership.grid_calls"] > 0
     assert tracer.counts["inference.rules_fired"] > 0
+
+
+def test_traced_elicitation_reaches_every_elicit_layer():
+    # the same contract for the benchmark's elicit-* workloads: each elicit.*
+    # and training-data metric comes from one of these spans, counts or the
+    # clustering peak, and a step run through a private name leaves it empty
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with resources.as_file(
+            resources.files("lingmap").joinpath("fixtures", "hofstede_individualism.csv")
+        ) as path:
+            data = lingmap.dataio.load_training_csv(path)
+        result = lingmap.elicit.elicit_variable(data, "individualism", lingmap.Interval(0.0, 100.0))
+        lingmap.dataio.dumps_catalog(lingmap.Catalog(variables={"individualism": result.variable}))
+    finally:
+        tracer.uninstall()
+    spans = {
+        "elicit.elicit_variable": 1,
+        "elicit.subtractive_clusters": 1,
+        "elicit.fcm": 1,
+        "elicit.fit_gauss2": 2,
+        "dataio.load_training_csv": 1,
+        "dataio.dumps_catalog": 1,
+    }
+    assert {name: tracer.stats[name].calls for name in spans} == spans
+    counts = {"elicit.fcm_iterations": 18, "elicit.fit_gauss2_iterations": 42, "elicit.clusters": 2}
+    assert {name: tracer.counts[name] for name in counts} == counts
+    assert tracer.peaks["elicit.subtractive_clusters"] > 0

@@ -15,7 +15,8 @@ from lingmap import (
     Trapezoid,
     fuzzify,
 )
-from lingmap.variables import coverage_gaps
+from lingmap.membership import _KERNELS
+from lingmap.variables import _coverage, coverage_gaps
 
 
 class TestDomains:
@@ -196,3 +197,20 @@ def test_fuzzify_is_each_terms_bits(terms, xs):
         assert batch[term].tobytes() == mf(np.array(xs)).tobytes()
         assert type(single[term]) is float
         assert np.float64(single[term]).tobytes() == mf(np.array(xs[:1])).tobytes()
+
+
+@given(mixed_terms(), st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
+def test_stacks_hold_each_terms_params(terms, xs):
+    # one C-contiguous array per shape, a strided view slowing every kernel
+    # call, with each term's own _params on its last axes; coverage reads
+    # the same stacks through fuzzify and gives each term's own maximum
+    var = LinguisticVariable("x", "ratio", Interval(0.0, 10.0), terms)
+    assert sorted(t for names, _, _ in var._stacks for t in names) == sorted(terms)
+    for names, kernel, params in var._stacks:
+        assert {kernel} == {_KERNELS[type(terms[t])] for t in names}
+        expected = np.moveaxis(np.array([terms[t]._params for t in names]), 0, -1)[..., None]
+        assert params.flags.c_contiguous
+        assert params.shape == expected.shape
+        assert params.tobytes() == expected.tobytes()
+    each = np.max([mf(np.array(xs)) for mf in terms.values()], axis=0)
+    assert _coverage(var, np.array(xs)).tobytes() == each.tobytes()
