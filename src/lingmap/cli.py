@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dataio import Catalog, load_catalog, load_fis, load_training_csv, save_catalog
+from .dataio import Catalog, _overwrite, load_catalog, load_fis, load_training_csv, save_catalog
 from .elicit import elicit_variable
 from .errors import LingmapError, NoRuleFiredError
 from .inference import FuzzyInferenceSystem, evaluate
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variable name (default: derived from the data file name)")
     p.add_argument("--kind", choices=VARIABLE_KINDS, default="interval",
                    help="level of measurement (default interval)")
-    p.add_argument("--out", required=True, help="catalog JSON to write")
+    p.add_argument("--out", required=True,
+                   help="catalog JSON to write; an existing file is overwritten in place")
 
     p = sub.add_parser("validate", help="check a catalog document and report problems")
     p.add_argument("catalog", help="catalog JSON to check")
@@ -72,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis to sweep (give once or twice)")
     p.add_argument("--fix", default=None, metavar="VAR=VALUE,...",
                    help="values for inputs that are not swept")
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    p.add_argument("--out", default=None,
+                   help="write CSV here instead of stdout; an existing file is overwritten "
+                        "in place and cut to the new length (not atomically)")
 
     p = sub.add_parser("reproduce", help="re-run a packaged case study and check its anchors")
     p.add_argument("--case", required=True, choices=sorted(_CASE_FIXTURES),
@@ -240,8 +243,7 @@ def _cmd_surface(args) -> int:
     text = "\n".join(lines) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _overwrite(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

@@ -8,6 +8,14 @@ safe to diff and to keep under version control.
 
 Schema problems are reported as SchemaError with a JSON-pointer-style path
 ("/variables/0/terms/1/mf/a") so the offending node can be found directly.
+
+Every file lingmap writes (a saved catalog, a surface CSV) overwrites an
+existing file in place and then cuts it to the new length, rather than
+truncating it first: ext4 flushes a file that was truncated and rewritten
+when it is closed, which costs more than writing a small file.  A target that
+is not a regular file (a pipe, a terminal, /dev/null) is written without
+the cut.  The write is not atomic: one that fails part way leaves a mixed
+file.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -107,7 +117,9 @@ def dumps_catalog(catalog: Catalog) -> str:
 def save_catalog(catalog: Catalog, path) -> None:
     """Write the canonical text, which is made before the file is opened.
 
-    A catalog that has no such text, because its metadata holds a
+    An existing file is overwritten in place and cut to the new length, to
+    spare ext4's flush after a truncate-and-rewrite; the write is not
+    atomic.  A catalog that has no such text, because its metadata holds a
     non-finite float or a value JSON cannot hold, or because its text
     cannot be encoded as UTF-8 (a lone surrogate in a name or code),
     raises DefinitionError and leaves any file at path as it was.
@@ -116,8 +128,20 @@ def save_catalog(catalog: Catalog, path) -> None:
         data = dumps_catalog(catalog).encode("utf-8")
     except (TypeError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
         raise DefinitionError(f"catalog cannot be saved: {exc}") from None
-    with open(path, "wb") as fh:
+    _overwrite(path, data)
+
+
+def _overwrite(path, data: bytes) -> None:
+    """Write data over the file at path in place, then cut a regular file to its length.
+
+    Opening with truncation would make ext4 flush the file on close (see
+    the module docstring).  A pipe or device cannot be cut, and need not be.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
         fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _want(node, types, path, what):

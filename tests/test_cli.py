@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output shapes, error reporting."""
 
 import json
+import os
 import tracemalloc
 from importlib import resources
 
@@ -269,6 +270,29 @@ class TestSurface:
         out_file = tmp_path / "surface.csv"
         assert cli.main(args + ["--out", str(out_file)]) == 0
         assert out_file.read_text(encoding="utf-8") == printed
+
+    @pytest.mark.parametrize("old", [b"x" * 10_000, b"x\n"], ids=["longer", "shorter"])
+    def test_out_overwrites_an_existing_file(self, capsys, tmp_path, case1_path, old):
+        args = ["surface", "--fis", case1_path, "--axis", "individualism=20:80:4"]
+        assert cli.main(args) == 0
+        printed = capsys.readouterr().out
+        out_file = tmp_path / "surface.csv"
+        out_file.write_bytes(old)
+        assert cli.main(args + ["--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"no {os.devnull}")
+    def test_out_to_the_null_device(self, capsys, case1_path):
+        args = ["surface", "--fis", case1_path, "--axis", "individualism=20:80:4"]
+        assert cli.main(args + ["--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_out_naming_a_directory(self, capsys, tmp_path, case1_path):
+        args = ["surface", "--fis", case1_path, "--axis", "individualism=20:80:4"]
+        assert cli.main(args + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and str(tmp_path) in captured.err
 
     def test_axis_and_fix_conflict(self, capsys, case2_path):
         args = [

@@ -115,6 +115,16 @@ class TestRoundTrip:
             save_catalog(bad, path)
         assert path.read_bytes() == b"old catalog\n"
 
+    def test_save_over_a_longer_catalog(self, tmp_path, case2_catalog):
+        # the file is overwritten in place, so the old tail must be cut off
+        path = tmp_path / "cat.json"
+        save_catalog(case2_catalog, path)
+        small = load_catalog(write_doc(tmp_path, minimal_doc(), name="small.json"))
+        assert len(dumps_catalog(small)) < path.stat().st_size
+        save_catalog(small, path)
+        assert path.read_bytes() == dumps_catalog(small).encode("utf-8")
+        assert load_catalog(path).variables == small.variables
+
     def test_byte_stable(self, tmp_path):
         path = write_doc(tmp_path, minimal_doc())
         first = dumps_catalog(load_catalog(path))

@@ -27,6 +27,7 @@ Run:  python3 tools/calibrate_fixtures.py
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -257,7 +258,11 @@ def verify(case1: FuzzyInferenceSystem, case2: FuzzyInferenceSystem) -> None:
         raise SystemExit(f"{len(failures)} verification failure(s)")
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    # no options; parsing first makes --help and a stray argument write nothing
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args(argv)
     data = load_training_csv(os.path.join(FIXTURES, "hofstede_individualism.csv"))
     result = elicit_variable(data, "individualism", Interval(0.0, 100.0), kind="ordinal")
     ind = result.variable
