@@ -20,9 +20,12 @@ file.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field, fields
@@ -345,10 +348,24 @@ def load_training_csv(path) -> TrainingSet:
     write, is skipped.  Problems, among them text that is not UTF-8 and a
     field longer than ``csv.field_size_limit()``, raise DatasetError, with
     1-based row numbers counting the header as row 1.
+
+    The file is read once.  A plain file, as a script or spreadsheet export
+    writes it, is converted in one ``map(float, ...)`` over its lines (see
+    _plain_values).  Any other file, and every fault, goes to the ``csv``
+    row loop below, which alone skips blank rows, parses quoted labels and
+    reports errors; the conversion returns only values that loop would
+    return, bit for bit.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = _plain_values(data)
+    if values is not None:
+        return TrainingSet(values)
     row_no = 0
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        # the bytes, read in the chunks a text file is read in, so a
+        # decoding error names the same position
+        with io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -393,3 +410,42 @@ def load_training_csv(path) -> TrainingSet:
     if not values:
         raise DatasetError(f"{path}: no data rows")
     return TrainingSet(np.array(values))
+
+
+def _plain_values(data: bytes) -> np.ndarray | None:
+    """The values of a plain training CSV file's bytes, or None where the row loop must read them.
+
+    A plain file is UTF-8 text with no quote and no carriage return, so
+    each line is a row and each comma ends a cell; no line longer than
+    csv.field_size_limit() bytes; a ``value`` or ``label,value`` header;
+    and a last cell in every row that float() takes to a finite value.
+    float() of a cell's bytes takes what the loop's float(cell.strip())
+    takes of its text, with the same value, except that it refuses
+    non-ASCII characters and the separators U+001C to U+001F, and a row
+    with a comma too many keeps it in its last cell, which float() then
+    refuses.  The lines are read one at a time, so no list of them is
+    built: the bytes and the values are all that a large file holds.
+    """
+    if b'"' in data or b"\r" in data:
+        return None
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit and max(map(len, io.BytesIO(data))) > limit:
+        return None
+    lines = io.BytesIO(data)
+    if data.startswith(codecs.BOM_UTF8):
+        lines.seek(len(codecs.BOM_UTF8))
+    cols = [h.strip().lower() for h in lines.readline().split(b",")]
+    cells = lines
+    if cols == [b"label", b"value"]:
+        cells = map(operator.itemgetter(2), map(operator.methodcaller("partition", b","), lines))
+    elif cols != [b"value"]:
+        return None
+    try:
+        values = np.fromiter(map(float, cells), float)
+    except ValueError:
+        return None
+    return values if values.size and np.isfinite(values).all() else None

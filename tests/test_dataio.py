@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -27,6 +28,7 @@ from lingmap import (
     load_training_csv,
     save_catalog,
 )
+from lingmap import dataio
 from lingmap.dataio import catalog_from_doc
 from lingmap.inference import MAX_DEFUZZ_RESOLUTION
 from lingmap.membership import SHAPES
@@ -411,6 +413,68 @@ def reference_load_training_csv(path) -> list[float]:
     return values
 
 
+def row_loop_load_training_csv(path) -> list[float]:
+    """load_training_csv's csv row loop as it read every file before its one-pass conversion.
+
+    An oracle: it reads the file as text, fails on text that is not UTF-8
+    and on csv errors as that loop did, and returns plain floats.
+    """
+    row_no = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"{path}: file is empty") from None
+            row_no = 1
+            cols = [h.strip().lower() for h in header]
+            if cols not in (["label", "value"], ["value"]):
+                raise DatasetError(
+                    f"{path}: header must be 'label,value' or 'value', got {','.join(header)!r}"
+                )
+            width = len(cols)
+            values: list[float] = []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if not any(cell.strip() for cell in row):
+                        continue
+                    raise DatasetError(
+                        f"{path}: row {row_no}: expected {width} column(s), got {len(row)}"
+                    )
+                raw = row[-1].strip()
+                try:
+                    value = float(raw)
+                except ValueError:
+                    if not any(cell.strip() for cell in row):
+                        continue
+                    raise DatasetError(
+                        f"{path}: row {row_no}: could not parse {raw!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: row {row_no}: non-finite value {raw!r}")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: row {row_no + 1}: {exc}") from None
+    if not values:
+        raise DatasetError(f"{path}: no data rows")
+    return values
+
+
+def assert_loads_as_the_row_loop(path):
+    """load_training_csv gives the row loop's values bit for bit, or its DatasetError message."""
+    try:
+        want = row_loop_load_training_csv(path)
+    except DatasetError as err:
+        with pytest.raises(DatasetError) as got:
+            load_training_csv(path)
+        assert str(got.value) == str(err)
+    else:
+        assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
+
+
 # whitespace str.strip() removes, ASCII and not: no-break space, em space
 # and the information separators \x1c-\x1f
 _pads = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\x1c", "\x1f"])
@@ -458,6 +522,47 @@ def csv_texts(draw):
             rows.append(",".join(cells) if len(cells) != width else ",".join(cells) + ",x")
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+# the cells and rows the one-pass conversion takes, and those it hands to
+# the row loop: quotes, blank rows, separators, non-finite values, widths
+_loop_cells = st.sampled_from(
+    ['"Korea, South"', '"say ""hi"""', '"1"', '"', "", " ", "nan", "-inf", "Infinity",
+     "1e999", "1_000", "\x1c1\x1f", "\x1d2\x1e", "1\x00", "\u00a03\u2003", "\ufeff4",
+     "0x10", "oops", "5\u2028", "\u0661\u0662"]
+)
+_row_cells = st.one_of(_padded_numbers, _labels, _loop_cells)
+
+
+@st.composite
+def csv_bytes(draw):
+    """Training CSV bytes: plain rows, or any mix of the rows only the row loop reads.
+
+    Each row is a label and a number most of the time; any cell can be
+    drawn from every kind the loop alone handles, any row can have a wrong
+    width or a trailing comma, and the text can start with a byte-order
+    mark, end its lines with CR LF or CR, or hold a byte that is not UTF-8.
+    """
+    header = draw(st.sampled_from(["value", "label,value", " Label , VALUE ", "value,label", "val"]))
+    width = 1 if header.strip() == "value" else 2
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 7))
+        if kind < 5:
+            rows.append(",".join([draw(_labels)] * (width - 1) + [draw(_padded_numbers)]))
+        elif kind == 5:
+            rows.append(",".join(draw(st.lists(_row_cells, min_size=width, max_size=width))))
+        elif kind == 6:
+            rows.append(",".join(draw(st.lists(_row_cells, max_size=4))))
+        else:
+            rows.append(draw(_blank_rows))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
 
 
 class TestTrainingCsv:
@@ -554,3 +659,119 @@ class TestTrainingCsv:
             assert str(got.value) == str(err)
         else:
             assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_bytes())
+    def test_matches_the_row_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(data)
+        assert_loads_as_the_row_loop(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'label,value\n"Korea, South",60\n"say ""hi""",5\n',
+            'label,value\n"x,1\n5",7\n',
+            "\ufefflabel,value\na,1\n",
+            "\ufeffvalue\n1\n",
+            "value\r\n1\r\n2\r\n",
+            "value\r1\r2\r",
+            "label,value\nx\r5,7\n",
+            "value\n1\n\n2\n\n",
+            "label,value\na,1\n , \n,\n\t,\u00a0\nb,2\n",
+            "value\n\x1c1\x1f\n\x1d2\x1e\n",
+            "label,value\na,\x1c1\n",
+            "value\n1_000\n2\n",
+            "value\n\u00a01\u2003\n\u0661\u0662\n",
+            "value\n1\nnan\n",
+            "label,value\na,1\nb,-inf\n",
+            "value\n1e999\n",
+            "label,value\na,1,2\n",
+            "label,value\na\n",
+            "value\n1,\n",
+            "label,value\na,1,\n",
+            "value\n",
+            "value",
+            "",
+            "\n",
+            "country,score\na,1\n",
+            "value\n1\x00\n",
+            "label,value\na\x00b,1\n",
+            f"label,value\na,1\n{'x' * 200_000},2\n",
+            "value\n" + "1\n" * 70_000 + "2" * 140_000 + "\n",
+        ],
+        ids=[
+            "quoted-labels", "quoted-newline", "bom-labelled", "bom", "crlf", "cr", "cr-inside-a-row", "blank-rows", "blank-cells",
+            "separators", "separator-in-label-row", "underscore", "unicode-spaces-and-digits",
+            "nan", "inf", "overflow", "too-wide", "too-narrow", "trailing-comma",
+            "trailing-comma-labelled", "header-only", "header-without-newline", "empty",
+            "blank-header", "bad-header", "nul-value", "nul-label", "oversized-field",
+            "oversized-field-in-a-long-file",
+        ],
+    )
+    def test_each_kind_of_text_matches_the_row_loop(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_as_the_row_loop(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"value\n1\n\xff\n",
+            b"\xffvalue\n1\n",
+            b"label,value\na\xff,1\n",
+            b"value\n" + b"1\n" * 5000 + b"\xff2\n",
+        ],
+        ids=["in-a-row", "in-the-header", "in-a-label", "past-the-first-chunk"],
+    )
+    def test_text_that_is_not_utf8_matches_the_row_loop(self, tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert_loads_as_the_row_loop(path)
+        with pytest.raises(DatasetError, match="not UTF-8 text"):
+            load_training_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("value\n1.5\n-2\n", [1.5, -2.0]),
+            ("\ufeffvalue\n1.5\n-2", [1.5, -2.0]),
+            ("label,value\nGuatemala,6\n,8\n", [6.0, 8.0]),
+            (" Label , VALUE \na b,\t1_000 \n", [1000.0]),
+            ("value\n" + "0.1\n" * 70_000, [0.1] * 70_000),
+        ],
+        ids=["values", "bom", "labelled", "padded", "longer-than-the-field-limit"],
+    )
+    def test_plain_text_skips_the_row_loop(self, tmp_path, monkeypatch, text, want):
+        def row_loop(fh):
+            raise AssertionError("plain text went to the row loop")
+
+        monkeypatch.setattr(dataio.csv, "reader", row_loop)
+        path = self.write(tmp_path, text)
+        assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
+
+    def test_packaged_scores_skip_the_row_loop(self, monkeypatch):
+        def row_loop(fh):
+            raise AssertionError("plain text went to the row loop")
+
+        ref = resources.files("lingmap").joinpath("fixtures", "hofstede_individualism.csv")
+        with resources.as_file(ref) as path:
+            want = row_loop_load_training_csv(path)
+            monkeypatch.setattr(dataio.csv, "reader", row_loop)
+            assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
+
+    def test_plain_file_is_read_without_a_list_of_lines(self, tmp_path):
+        # a list of 100 000 line strings alone would hold about 6 MB, more
+        # than three times the file; the bytes, their decoded text while
+        # it is checked, and the growing array of values stay below that
+        values = np.random.default_rng(8).normal(50.0, 10.0, 100_000)
+        path = self.write(tmp_path, "value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            got = load_training_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.values.tobytes() == values.tobytes()
+        assert peak < 3 * size, (peak, size)

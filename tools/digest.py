@@ -13,7 +13,11 @@ bits for:
   `elicit-large` samples), 200 000 seeded integers from 0 to 100, and two
   samples of 110 integer scores on which the Gauss2 fit once stepped to a
   width whose square overflows (`bench/data/gauss2_overflow.csv`) or is 0
-  (`COLLAPSE` below).
+  (`COLLAPSE` below);
+* the values `load_training_csv` reads from three files: the packaged
+  scores (`label,value`), `bench/data/gauss2_overflow.csv` (`value`) and
+  a seeded 2000-row `value` file of `repr` floats, the way the benchmark
+  writes its `elicit-large` samples, written to a temporary directory.
 
 A change that claims "the same bits" runs this on the parent and on the
 change and compares the two lines.  lingmap is imported from the `src`
@@ -27,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -85,6 +90,21 @@ def elicitation_samples() -> list:
     ]
 
 
+def training_files(folder: str) -> list:
+    """The training CSVs whose loaded values are hashed; the seeded one is written to folder."""
+    rng = np.random.default_rng(2001)
+    values = np.concatenate([rng.normal(30.0, 8.0, 1000), rng.normal(70.0, 8.0, 1000)])
+    written = os.path.join(folder, "repr.csv")
+    with open(written, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("value\n")
+        fh.writelines(f"{v!r}\n" for v in values.tolist())
+    return [
+        os.path.join(FIXTURES, "hofstede_individualism.csv"),
+        os.path.join(ROOT, "bench", "data", "gauss2_overflow.csv"),
+        written,
+    ]
+
+
 def main() -> None:
     digest = hashlib.sha256()
     systems = {
@@ -105,6 +125,9 @@ def main() -> None:
         digest.update(dumps_catalog(Catalog(variables={name: result.variable})).encode())
         digest.update(np.ascontiguousarray(result.clusters.centers, dtype=float).tobytes())
         digest.update(np.ascontiguousarray(result.clusters.memberships, dtype=float).tobytes())
+    with tempfile.TemporaryDirectory() as folder:
+        for path in training_files(folder):
+            digest.update(load_training_csv(path).values.tobytes())
     print(digest.hexdigest())
 
 
