@@ -349,23 +349,20 @@ def load_training_csv(path) -> TrainingSet:
     field longer than ``csv.field_size_limit()``, raise DatasetError, with
     1-based row numbers counting the header as row 1.
 
-    The file is read once.  A plain file, as a script or spreadsheet export
-    writes it, is converted in one ``map(float, ...)`` over its lines (see
-    _plain_values).  Any other file, and every fault, goes to the ``csv``
-    row loop below, which alone skips blank rows, parses quoted labels and
-    reports errors; the conversion returns only values that loop would
-    return, bit for bit.
+    A plain file, as a script or spreadsheet export writes it, is read once
+    and converted in one ``map(float, ...)`` over its lines (see
+    _plain_values).  Any other file, and every fault, is read again by the
+    ``csv`` row loop below, which alone parses quoted labels and reports
+    errors; the conversion returns only values that loop would return, bit
+    for bit.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    values = _plain_values(data)
+        values = _plain_values(fh.read())
     if values is not None:
         return TrainingSet(values)
     row_no = 0
     try:
-        # the bytes, read in the chunks a text file is read in, so a
-        # decoding error names the same position
-        with io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -412,21 +409,30 @@ def load_training_csv(path) -> TrainingSet:
     return TrainingSet(np.array(values))
 
 
+# the bytes of a blank row: what str.strip() removes of its cells, in ASCII,
+# the commas between them and its line end
+_BLANK = b" \t\x0b\x0c,\r\n"
+
+
 def _plain_values(data: bytes) -> np.ndarray | None:
     """The values of a plain training CSV file's bytes, or None where the row loop must read them.
 
-    A plain file is UTF-8 text with no quote and no carriage return, so
-    each line is a row and each comma ends a cell; no line longer than
-    csv.field_size_limit() bytes; a ``value`` or ``label,value`` header;
-    and a last cell in every row that float() takes to a finite value.
-    float() of a cell's bytes takes what the loop's float(cell.strip())
-    takes of its text, with the same value, except that it refuses
-    non-ASCII characters and the separators U+001C to U+001F, and a row
-    with a comma too many keeps it in its last cell, which float() then
-    refuses.  The lines are read one at a time, so no list of them is
-    built: the bytes and the values are all that a large file holds.
+    A plain file is UTF-8 text with no quote, no NUL and no carriage
+    return outside a CR LF, so each line is a row and each comma ends a
+    cell; no line longer than csv.field_size_limit() bytes; a ``value`` or
+    ``label,value`` header; and a last cell in every row that float()
+    takes to a finite value, but in blank rows (ASCII spaces and commas),
+    which the loop skips: trailing ones are cut off first, and one further
+    up costs a second pass that leaves them out.  float() of a cell's
+    bytes takes what the loop's float(cell.strip()) takes of its text, with
+    the same value, except that it refuses non-ASCII characters and the
+    separators U+001C to U+001F, and a row with a comma too many keeps it
+    in its last cell, which float() then refuses.  The lines are read one
+    at a time, so no list of them is built.
     """
-    if b'"' in data or b"\r" in data:
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     try:
         data.decode("utf-8-sig")
@@ -435,17 +441,36 @@ def _plain_values(data: bytes) -> np.ndarray | None:
     limit = csv.field_size_limit()
     if len(data) > limit and max(map(len, io.BytesIO(data))) > limit:
         return None
-    lines = io.BytesIO(data)
+    # the text up to the end of the last line that is not blank
+    end = data.find(b"\n", len(data.rstrip(_BLANK))) + 1 or len(data)
+    lines = io.BytesIO(data[:end])
     if data.startswith(codecs.BOM_UTF8):
         lines.seek(len(codecs.BOM_UTF8))
     cols = [h.strip().lower() for h in lines.readline().split(b",")]
-    cells = lines
-    if cols == [b"label", b"value"]:
-        cells = map(operator.itemgetter(2), map(operator.methodcaller("partition", b","), lines))
-    elif cols != [b"value"]:
+    if cols not in ([b"label", b"value"], [b"value"]):
         return None
+    start = lines.tell()
+    values = _float_rows(lines, len(cols))
+    if values is None:
+        # float() refused the row that ends here: a blank row, which the
+        # loop skips, is left out by a second pass; any other only the
+        # loop reads
+        stop = lines.tell()
+        if data[data.rfind(b"\n", 0, stop - 1) + 1 : stop].strip(_BLANK):
+            return None
+        lines.seek(start)
+        values = _float_rows(filter(operator.methodcaller("strip", _BLANK), lines), len(cols))
+    if values is None or not values.size or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _float_rows(lines, width: int) -> np.ndarray | None:
+    """float() of each line's last cell, or None if float() refuses one."""
+    cells = lines
+    if width == 2:
+        cells = map(operator.itemgetter(2), map(operator.methodcaller("partition", b","), lines))
     try:
-        values = np.fromiter(map(float, cells), float)
+        return np.fromiter(map(float, cells), float)
     except ValueError:
         return None
-    return values if values.size and np.isfinite(values).all() else None

@@ -45,20 +45,18 @@ values stage 1 picks are.
 
 A TrainingSet sorts its rows once, in O(n log n), the first time they
 are read, and keeps the order, the sorted rows and the runs of equal
-values in them.  Stages 1 and 2 read those, and no stage sorts the rows
-again.  fcm keeps the memberships of the distinct values beside the
-membership rows it spreads them back to, and elicit_variable hands
-stage 3 those values, their memberships and their counts, which are the
-(value, membership) pairs the fit would merge the rows into, so the fit
-neither sorts nor merges.  An iteration of fcm or of the fit then takes
-a number of numpy calls that does not grow with n, and array work in
-proportion to the number of distinct values.  Stage 2 on values that are
-all distinct, and a fit on pairs that are, skip the weights, which would
-all be exactly 1.  A trial step of the fit evaluates only the model; the
+values in them.  Stages 1 and 2 read those, and elicit_variable hands
+stage 3 the sorted rows, so no stage sorts the rows again; the fit still
+merges its (value, membership) pairs, which numpy's lexsort orders in
+about a tenth of the time when they come sorted.  An iteration of fcm or
+of the fit then takes a number of numpy calls that does not grow with n,
+and array work in proportion to the number of distinct values.  A fit
+whose pairs are all distinct skips the weights, which would all be
+exactly 1.  A trial step of the fit evaluates only the model; the
 Jacobian is built once per accepted step, from the intermediates of the
 trial that was accepted.  200 000 integer scores from 0 to 100 elicit in
-21-23 ms on a shared 2-core x86-64 host, where each fit merging the rows
-again took 30-33 ms.
+0.03-0.04 s on a shared 2-core x86-64 host, where each stage sorting
+the rows again took 0.03-0.05 s.
 
 The only setting is the cluster radius, a fraction of the data span
 (default 0.5).  Every other constant is fixed:
@@ -482,21 +480,20 @@ def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
 
 def _fcm_memberships(d2: np.ndarray) -> np.ndarray:
     """Bezdek's memberships from the squared distances d2, [clusters, values]."""
+    hits = d2 == 0.0
     # Bezdek's update on distance ratios: dividing each column by its
     # smallest d2 keeps every base >= 1, so the negative power lies in
     # (0, 1] and cannot overflow however tiny the distances are; a ratio
     # that overflows to inf gets the exact limit, membership 0.  A column
     # with a zero distance comes out NaN here and is replaced below
     power = 1.0 / (FUZZIFIER - 1.0)
-    low = d2.min(axis=0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv = (d2 / low) ** -power
+        inv = (d2 / d2.min(axis=0)) ** -power
         u = inv / inv.sum(axis=0)
-    # no d2 is negative, so a column holds a zero exactly where its minimum is 0
-    exact = low == 0.0
+    exact = hits.any(axis=0)
     if exact.any():
         # a value on a center belongs to the centers it sits on, equally
-        hits = d2[:, exact] == 0.0
+        hits = hits[:, exact]
         u[:, exact] = hits / hits.sum(axis=0)
     return u
 
@@ -520,9 +517,6 @@ def fcm(data: TrainingSet, init) -> ClusterModel:
     iteration do not grow with n, and its array work grows with the number
     of distinct values; the memberships are then spread back to one row per
     observation, in data's row order.  Permuting the rows changes no bit.
-    The model also keeps the distinct values' membership rows, in data's
-    sorted order, as _distinct [values, clusters], for elicit_variable to
-    fit.
     Data whose span has no finite square (so no finite squared distance)
     raises DatasetError; TrainingSet has refused non-finite values.
     """
@@ -532,9 +526,6 @@ def fcm(data: TrainingSet, init) -> ClusterModel:
     if not math.isfinite((hi - lo) * (hi - lo)):
         raise DatasetError(f"the data span from {lo!r} to {hi!r} has no finite square")
     counts = runs.astype(float)
-    # with no value repeated every count is exactly 1, and multiplying by
-    # 1.0 changes no bit, so the weighting is skipped
-    unit = runs.size == xs.size
 
     centers = np.array(init, dtype=float).ravel()
     # NaN and infinities fail the range test too
@@ -550,9 +541,7 @@ def fcm(data: TrainingSet, init) -> ClusterModel:
     iterations = 0
     for _ in range(FCM_MAX_ITER):
         d2 = (ux - centers[:, None]) ** 2
-        weights = _fcm_memberships(d2) ** FUZZIFIER
-        if not unit:
-            weights *= counts
+        weights = _fcm_memberships(d2) ** FUZZIFIER * counts
         objective_path.append(float((weights * d2).sum()))
         total = weights.sum(axis=1)
         # a center whose weights all underflow to 0 stays put, not NaN
@@ -573,22 +562,18 @@ def fcm(data: TrainingSet, init) -> ClusterModel:
         raise ElicitationError(
             f"fuzzy c-means merged clusters: the centers {centers.tolist()} coincide"
         )
-    # each distinct value's row, repeated over its run, back in data's row
-    # order; the transposed view keeps each cluster's column contiguous
-    distinct = u[ascending].T
+    # each distinct value's row, repeated over its run, back in data's row order
     memberships = np.empty((xs.size, centers.size))
-    memberships[order] = np.repeat(distinct, runs, axis=0)
-    for a in (centers, memberships, distinct):
-        a.setflags(write=False)
-    model = ClusterModel(
+    memberships[order] = np.repeat(u[ascending].T, runs, axis=0)
+    centers.setflags(write=False)
+    memberships.setflags(write=False)
+    return ClusterModel(
         centers=centers,
         memberships=memberships,
         objective_path=tuple(objective_path),
         iterations=iterations,
         converged=converged,
     )
-    object.__setattr__(model, "_distinct", distinct)
-    return model
 
 
 def _gauss2_model(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -614,14 +599,12 @@ def _gauss2_jacobian(parts: tuple) -> np.ndarray:
     e, ae, dx, width2 = parts
     jac = np.empty((6, e.shape[1]))
     jac[0::3] = e
-    twice = ae * 2.0
-    # twice * dx / width2 and twice * dx^2 / width2, each written in its rows
-    for rows, factor in ((jac[1::3], dx), (jac[2::3], np.square(dx))):
-        np.divide(np.multiply(twice, factor, out=rows), width2, out=rows)
+    jac[1::3] = ae * 2.0 * dx / width2
+    jac[2::3] = ae * 2.0 * np.square(dx) / width2
     return jac
 
 
-def fit_gauss2(xs, ys, init: Gauss2, counts=None) -> Gauss2Fit:
+def fit_gauss2(xs, ys, init: Gauss2) -> Gauss2Fit:
     """Least-squares fit of a two-term Gaussian by damped Gauss-Newton.
 
     Widths are optimized in log space, which keeps them positive without
@@ -640,46 +623,30 @@ def fit_gauss2(xs, ys, init: Gauss2, counts=None) -> Gauss2Fit:
     running out of iterations or damping headroom reports converged=False
     instead.
 
-    Equal (x, y) pairs are merged first, sorted by x then y, and their
-    counts weight the cost, the gradient and the normal matrix, so the work
-    grows with the number of distinct pairs and permuting the pairs changes
-    no bit.  A caller that holds the merged pairs passes counts, how often
-    each pair occurs (whole numbers >= 1, one per pair), and the merge is
-    skipped: with the pairs in the merge's order, the fit is the same bits
-    as the fit of the pairs repeated by their counts.  A trial step
+    Equal (x, y) pairs are merged first, and their counts weight the cost,
+    the gradient and the normal matrix, so the work grows with the number
+    of distinct pairs and permuting the pairs changes no bit.  A trial step
     evaluates only the model; the Jacobian is built once per accepted step
     from that trial's intermediates.  The residual reported is the RMS over
-    all n observations, n being the number of pairs or the sum of counts;
-    fewer than MIN_OBSERVATIONS raise DatasetError.
+    all the pairs given.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size != ys.size:
         raise DatasetError(f"{xs.size} x values but {ys.size} y values")
-    if counts is None:
-        n = xs.size
-    else:
-        counts = np.asarray(counts, dtype=float).ravel()
-        n = float(counts.sum())
-        whole = np.all(counts >= 1.0) and math.isfinite(n) and not (counts % 1.0).any()
-        if counts.size != xs.size or not whole:
-            raise DatasetError(
-                f"counts must be {xs.size} whole numbers >= 1, one per pair, "
-                f"got {counts.size} summing to {n!r}"
-            )
-    if n < MIN_OBSERVATIONS:
+    if xs.size < MIN_OBSERVATIONS:
         raise DatasetError(
             f"dataset too small: fitting a two-term Gaussian needs at least "
-            f"{MIN_OBSERVATIONS} points, got {n:g}"
+            f"{MIN_OBSERVATIONS} points, got {xs.size}"
         )
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DatasetError("non-finite values in fit data")
-    if counts is None:
-        # equal pairs share every residual: merge them, sorted by x then y
-        order = np.lexsort((ys, xs))
-        xs, ys = xs[order], ys[order]
-        starts, runs = _runs(xs, ys)
-        xs, ys, counts = xs[starts], ys[starts], runs.astype(float)
+    n = xs.size
+    # equal pairs share every residual: merge them, sorted by x then y
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    starts, counts = _runs(xs, ys)
+    xs, ys, counts = xs[starts], ys[starts], counts.astype(float)
     # with no pair repeated every weight is exactly 1, and multiplying by
     # 1.0 changes no bit, so the weighting is skipped
     unit = counts.size == n
@@ -838,7 +805,7 @@ def elicit_variable(
         )
 
     # data sorts its rows once, here, and every stage below reads that sort
-    _, sx, starts, runs = data._sorted
+    order, sx, starts, runs = data._sorted
     seeds = subtractive_clusters(data, radius)
     if seeds.size == 1:
         # one membership column is 1 everywhere, and a two-bump fit to it
@@ -848,16 +815,15 @@ def elicit_variable(
             "a linguistic variable needs two terms or more, so try a smaller radius"
         )
     model = fcm(data, seeds)
-    # the distinct values, how often each occurs and their memberships,
-    # which are the pairs fit_gauss2 would merge the rows into
+    # the distinct values and their memberships, which equal values share
     ux, counts = sx[starts], runs.astype(float)
-    distinct = model._distinct
+    distinct = model.memberships[order[starts]]
 
     fits = []
     terms = {}
     for col, center in enumerate(model.centers):
         init = _seed_gauss2(ux, counts, distinct[:, col], float(center))
-        fit = fit_gauss2(ux, distinct[:, col], init, counts=counts)
+        fit = fit_gauss2(sx, np.repeat(distinct[:, col], runs), init)
         if fit.residual > RESIDUAL_CEILING:
             raise ElicitationError(
                 f"membership fit for term LC{col + 1} of '{name}' has RMS residual "

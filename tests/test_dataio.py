@@ -739,16 +739,59 @@ class TestTrainingCsv:
             ("label,value\nGuatemala,6\n,8\n", [6.0, 8.0]),
             (" Label , VALUE \na b,\t1_000 \n", [1000.0]),
             ("value\n" + "0.1\n" * 70_000, [0.1] * 70_000),
+            ("value\r\n1.5\r\n-2\r\n", [1.5, -2.0]),
+            ("label,value\r\na,1.5\r\nb,-2", [1.5, -2.0]),
+            ("value\n1.5\n-2\n\n \n", [1.5, -2.0]),
+            ("label,value\na,1.5\nb,-2\n,\n \t, \r\n,,\n", [1.5, -2.0]),
+            ("value\n1.5\n\n-2\n", [1.5, -2.0]),
+            ("label,value\na,1.5\n , \nb,-2\n,,\nc,3\n", [1.5, -2.0, 3.0]),
         ],
-        ids=["values", "bom", "labelled", "padded", "longer-than-the-field-limit"],
+        ids=[
+            "values", "bom", "labelled", "padded", "longer-than-the-field-limit", "crlf",
+            "crlf-labelled", "trailing-blank-rows", "trailing-blank-cells",
+            "blank-row-inside", "blank-cells-inside",
+        ],
     )
     def test_plain_text_skips_the_row_loop(self, tmp_path, monkeypatch, text, want):
         def row_loop(fh):
             raise AssertionError("plain text went to the row loop")
 
-        monkeypatch.setattr(dataio.csv, "reader", row_loop)
         path = self.write(tmp_path, text)
+        assert row_loop_load_training_csv(path) == want
+        monkeypatch.setattr(dataio.csv, "reader", row_loop)
         assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, passes",
+        [
+            ("label,value\na\x00b,1\n", 0),
+            ("value\n1\x00\n", 0),
+            ('label,value\n"a",1\n', 0),
+            ("value\n1\r\n2\r", 0),
+            ("value\n1\n\u00a02\n3\n", 1),
+            ("value\n1\n\n\u00a02\n3\n", 2),
+            ("value\n1,\n2\n", 1),
+            ("value\n1\nnan\n", 1),
+        ],
+        ids=["nul-label", "nul-value", "quoted", "mixed-line-ends", "unicode-space",
+             "unicode-space-after-a-blank-row", "too-wide", "nan"],
+    )
+    def test_rows_only_the_loop_reads_go_to_it(self, tmp_path, monkeypatch, text, passes):
+        # on every Python: csv before 3.11 refuses NUL, which float() of
+        # the bytes after a label would never see
+        path = self.write(tmp_path, text)
+        calls = []
+        float_rows = dataio._float_rows
+
+        def counted(lines, width):
+            calls.append(width)
+            return float_rows(lines, width)
+
+        monkeypatch.setattr(dataio, "_float_rows", counted)
+        assert dataio._plain_values(path.read_bytes()) is None
+        # a refused row that is not blank takes no second pass
+        assert len(calls) == passes
+        assert_loads_as_the_row_loop(path)
 
     def test_packaged_scores_skip_the_row_loop(self, monkeypatch):
         def row_loop(fh):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lingmap import (
     DatasetError,
@@ -607,103 +607,6 @@ class TestDistinctValueWeighting:
         assert result.clusters.iterations == 18
         assert [fit.iterations for fit in result.fits] == [21, 21]
         assert len(calls) == 56
-
-
-def fit_bits(fit) -> tuple:
-    """Every number of a Gauss2Fit, as exact bit patterns, and its flags."""
-    p = fit.params
-    numbers = (p.alpha1, p.beta1, p.gamma1, p.alpha2, p.beta2, p.gamma2, fit.residual)
-    return tuple(float(v).hex() for v in numbers), fit.converged, fit.iterations
-
-
-class TestDistinctHandOff:
-    """fcm keeps the distinct values' memberships, and the fit takes them with their counts."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        counts=st.lists(st.integers(1, 6), min_size=6, max_size=40),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_counts_give_the_bits_of_repeated_rows(self, counts, seed):
-        rng = np.random.default_rng(seed)
-        c = np.array(counts)
-        ux = np.sort(rng.uniform(0.0, 100.0, c.size))
-        assume(np.unique(ux).size == ux.size)
-        u = np.clip(gauss2_sum(ux, 0.8, 40.0, 12.0, 0.3, 60.0, 9.0) + rng.normal(0, 0.02, c.size), 0, 1)
-        init = Gauss2(0.5, 35.0, 15.0, 0.5, 55.0, 15.0)
-        merged = fit_gauss2(ux, u, init, counts=c)
-        rows = fit_gauss2(np.repeat(ux, c), np.repeat(u, c), init)
-        assert fit_bits(merged) == fit_bits(rows)
-        # float counts are taken as the same counts
-        assert fit_bits(fit_gauss2(ux, u, init, counts=c.astype(float))) == fit_bits(rows)
-
-    @pytest.mark.parametrize("sample", ["packaged", "continuous"])
-    def test_fcm_keeps_the_distinct_rows(self, individualism_data, sample):
-        if sample == "packaged":
-            data = individualism_data
-        else:
-            rng = np.random.default_rng(22)
-            data = TrainingSet(np.concatenate([rng.normal(30.0, 8.0, 400), rng.normal(70.0, 8.0, 400)]))
-        order, _, starts, _ = data._sorted
-        model = fcm(data, subtractive_clusters(data))
-        assert model._distinct.tobytes() == model.memberships[order[starts]].tobytes()
-        assert not model._distinct.flags.writeable
-        assert "_distinct" not in repr(model)
-
-        perm = np.random.default_rng(5).permutation(len(data))
-        shuffled = fcm(TrainingSet(data.values[perm]), subtractive_clusters(data))
-        assert shuffled._distinct.tobytes() == model._distinct.tobytes()
-        assert shuffled.memberships.tobytes() == model.memberships[perm].tobytes()
-
-    @pytest.mark.parametrize("sample", ["packaged", "continuous", "integers"])
-    def test_elicitation_fits_the_bits_of_the_merged_rows(self, individualism_data, sample):
-        # what elicit_variable handed each fit before: the sorted rows and
-        # their memberships, which the fit merged into the same pairs
-        rng = np.random.default_rng(23)
-        data = {
-            "packaged": individualism_data,
-            "continuous": TrainingSet(np.concatenate([rng.normal(30.0, 8.0, 500), rng.normal(70.0, 8.0, 500)])),
-            "integers": TrainingSet(rng.integers(0, 101, 5000).astype(float)),
-        }[sample]
-        result = elicit_variable(data, "x", Interval(-100.0, 200.0))
-        order, sx, starts, runs = data._sorted
-        u = result.clusters.memberships[order]
-        counts = runs.astype(float)
-        for col, center in enumerate(result.clusters.centers):
-            init = _seed_gauss2(sx[starts], counts, u[starts, col], float(center))
-            assert fit_bits(fit_gauss2(sx, u[:, col], init)) == fit_bits(result.fits[col])
-
-    def test_elicitation_does_not_merge_pairs(self, individualism_data, monkeypatch):
-        calls = []
-        lexsort = np.lexsort
-
-        def counted(keys, *args, **kwargs):
-            calls.append(1)
-            return lexsort(keys, *args, **kwargs)
-
-        monkeypatch.setattr(np, "lexsort", counted)
-        elicit_variable(individualism_data, "x", Interval(0.0, 100.0))
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "counts",
-        [[1, 2, 3], [1, 2, 3, 4, 5, 6, 7], [1, 0, 1, 1, 1, 1], [1, -2, 3, 4, 5, 6],
-         [1, 1.5, 1, 1, 1, 1], [1, np.nan, 1, 1, 1, 1], [1, np.inf, 1, 1, 1, 1]],
-        ids=["short", "long", "zero", "negative", "fraction", "nan", "inf"],
-    )
-    def test_counts_outside_the_contract_are_refused(self, counts):
-        xs = np.linspace(0.0, 10.0, 6)
-        with pytest.raises(DatasetError, match="counts must be 6 whole numbers >= 1"):
-            fit_gauss2(xs, np.exp(-((xs - 5.0) ** 2)), Gauss2(0.5, 4, 2, 0.5, 6, 2), counts=counts)
-
-    def test_counts_set_the_number_of_observations(self):
-        xs = np.array([1.0, 5.0, 9.0])
-        ys = np.array([0.1, 0.9, 0.1])
-        init = Gauss2(0.5, 4, 2, 0.5, 6, 2)
-        with pytest.raises(DatasetError, match="at least 6 points, got 5"):
-            fit_gauss2(xs, ys, init, counts=[1, 3, 1])
-        fit = fit_gauss2(xs, ys, init, counts=[2, 2, 2])
-        assert fit_bits(fit) == fit_bits(fit_gauss2(np.repeat(xs, 2), np.repeat(ys, 2), init))
 
 
 def bezdek_rows(xs, centers, m=2.0):
