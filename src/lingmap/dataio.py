@@ -20,7 +20,6 @@ file.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -349,20 +348,21 @@ def load_training_csv(path) -> TrainingSet:
     field longer than ``csv.field_size_limit()``, raise DatasetError, with
     1-based row numbers counting the header as row 1.
 
-    A plain file, as a script or spreadsheet export writes it, is read once
-    and converted in one ``map(float, ...)`` over its lines (see
-    _plain_values).  Any other file, and every fault, is read again by the
-    ``csv`` row loop below, which alone parses quoted labels and reports
-    errors; the conversion returns only values that loop would return, bit
-    for bit.
+    The file is read once.  A plain file, ASCII with LF line ends as a
+    script writes it, is converted in one ``map(float, ...)`` over its
+    lines (see _plain_values).  Any other file, and every fault, goes to
+    the ``csv`` row loop below, which alone parses quoted labels, a
+    byte-order mark, CR LF and blank rows, and reports errors; the
+    conversion returns only values that loop would return, bit for bit.
     """
     with open(path, "rb") as fh:
-        values = _plain_values(fh.read())
+        data = fh.read()
+    values = _plain_values(data)
     if values is not None:
         return TrainingSet(values)
     row_no = 0
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -377,11 +377,11 @@ def load_training_csv(path) -> TrainingSet:
             width = len(cols)
             values: list[float] = []
             for row_no, row in enumerate(reader, start=2):
-                # blank cells are looked for only in a row that cannot be
-                # taken as it is
+                # a blank row's cells, joined, are blank: one join and strip
+                # costs far less than a strip per cell in a generator
+                if not "".join(row).strip():
+                    continue
                 if len(row) != width:
-                    if not any(cell.strip() for cell in row):
-                        continue
                     raise DatasetError(
                         f"{path}: row {row_no}: expected {width} column(s), got {len(row)}"
                     )
@@ -391,8 +391,6 @@ def load_training_csv(path) -> TrainingSet:
                 try:
                     value = float(raw)
                 except ValueError:
-                    if not any(cell.strip() for cell in row):
-                        continue
                     raise DatasetError(
                         f"{path}: row {row_no}: could not parse {raw!r} as a number"
                     ) from None
@@ -409,68 +407,35 @@ def load_training_csv(path) -> TrainingSet:
     return TrainingSet(np.array(values))
 
 
-# the bytes of a blank row: what str.strip() removes of its cells, in ASCII,
-# the commas between them and its line end
-_BLANK = b" \t\x0b\x0c,\r\n"
-
-
 def _plain_values(data: bytes) -> np.ndarray | None:
     """The values of a plain training CSV file's bytes, or None where the row loop must read them.
 
-    A plain file is UTF-8 text with no quote, no NUL and no carriage
-    return outside a CR LF, so each line is a row and each comma ends a
-    cell; no line longer than csv.field_size_limit() bytes; a ``value`` or
-    ``label,value`` header; and a last cell in every row that float()
-    takes to a finite value, but in blank rows (ASCII spaces and commas),
-    which the loop skips: trailing ones are cut off first, and one further
-    up costs a second pass that leaves them out.  float() of a cell's
-    bytes takes what the loop's float(cell.strip()) takes of its text, with
-    the same value, except that it refuses non-ASCII characters and the
-    separators U+001C to U+001F, and a row with a comma too many keeps it
-    in its last cell, which float() then refuses.  The lines are read one
-    at a time, so no list of them is built.
+    A plain file is ASCII with no quote, no NUL and no carriage return,
+    so each line is a row and each comma ends a cell; no line longer than
+    csv.field_size_limit() bytes; a ``value`` or ``label,value`` header;
+    and a last cell in every row that float() takes to a finite value.
+    float() of a cell's bytes takes what the loop's float(cell.strip())
+    takes of its text, with the same value, except that it refuses the
+    separators U+001C to U+001F and a blank row, and a row with a comma
+    too many keeps it in its last cell, which float() then refuses.  The
+    lines are read one at a time, so no list of them is built.
     """
-    if b'"' in data or b"\0" in data:
-        return None
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    try:
-        data.decode("utf-8-sig")
-    except UnicodeDecodeError:
+    if not data.isascii() or b'"' in data or b"\0" in data or b"\r" in data:
         return None
     limit = csv.field_size_limit()
     if len(data) > limit and max(map(len, io.BytesIO(data))) > limit:
         return None
-    # the text up to the end of the last line that is not blank
-    end = data.find(b"\n", len(data.rstrip(_BLANK))) + 1 or len(data)
-    lines = io.BytesIO(data[:end])
-    if data.startswith(codecs.BOM_UTF8):
-        lines.seek(len(codecs.BOM_UTF8))
+    lines = io.BytesIO(data)
     cols = [h.strip().lower() for h in lines.readline().split(b",")]
     if cols not in ([b"label", b"value"], [b"value"]):
         return None
-    start = lines.tell()
-    values = _float_rows(lines, len(cols))
-    if values is None:
-        # float() refused the row that ends here: a blank row, which the
-        # loop skips, is left out by a second pass; any other only the
-        # loop reads
-        stop = lines.tell()
-        if data[data.rfind(b"\n", 0, stop - 1) + 1 : stop].strip(_BLANK):
-            return None
-        lines.seek(start)
-        values = _float_rows(filter(operator.methodcaller("strip", _BLANK), lines), len(cols))
-    if values is None or not values.size or not np.isfinite(values).all():
-        return None
-    return values
-
-
-def _float_rows(lines, width: int) -> np.ndarray | None:
-    """float() of each line's last cell, or None if float() refuses one."""
     cells = lines
-    if width == 2:
+    if len(cols) == 2:
         cells = map(operator.itemgetter(2), map(operator.methodcaller("partition", b","), lines))
     try:
-        return np.fromiter(map(float, cells), float)
+        values = np.fromiter(map(float, cells), float)
     except ValueError:
         return None
+    if not values.size or not np.isfinite(values).all():
+        return None
+    return values

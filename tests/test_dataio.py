@@ -4,8 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,7 +382,11 @@ class TestJsonSchemaDocument:
 
 
 def reference_load_training_csv(path) -> list[float]:
-    """The row loop load_training_csv had before its fast path, as an oracle."""
+    """The row loop load_training_csv had before its fast path, as an oracle.
+
+    It looks for a blank row first, as the loop does again; the other oracle,
+    row_loop_load_training_csv, looks only in a row it cannot take.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -735,22 +743,12 @@ class TestTrainingCsv:
         "text, want",
         [
             ("value\n1.5\n-2\n", [1.5, -2.0]),
-            ("\ufeffvalue\n1.5\n-2", [1.5, -2.0]),
+            ("value\n1.5\n-2", [1.5, -2.0]),
             ("label,value\nGuatemala,6\n,8\n", [6.0, 8.0]),
             (" Label , VALUE \na b,\t1_000 \n", [1000.0]),
             ("value\n" + "0.1\n" * 70_000, [0.1] * 70_000),
-            ("value\r\n1.5\r\n-2\r\n", [1.5, -2.0]),
-            ("label,value\r\na,1.5\r\nb,-2", [1.5, -2.0]),
-            ("value\n1.5\n-2\n\n \n", [1.5, -2.0]),
-            ("label,value\na,1.5\nb,-2\n,\n \t, \r\n,,\n", [1.5, -2.0]),
-            ("value\n1.5\n\n-2\n", [1.5, -2.0]),
-            ("label,value\na,1.5\n , \nb,-2\n,,\nc,3\n", [1.5, -2.0, 3.0]),
         ],
-        ids=[
-            "values", "bom", "labelled", "padded", "longer-than-the-field-limit", "crlf",
-            "crlf-labelled", "trailing-blank-rows", "trailing-blank-cells",
-            "blank-row-inside", "blank-cells-inside",
-        ],
+        ids=["values", "no-final-newline", "labelled", "padded", "longer-than-the-field-limit"],
     )
     def test_plain_text_skips_the_row_loop(self, tmp_path, monkeypatch, text, want):
         def row_loop(fh):
@@ -762,43 +760,91 @@ class TestTrainingCsv:
         assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize(
-        "text, passes",
+        "text",
         [
-            ("label,value\na\x00b,1\n", 0),
-            ("value\n1\x00\n", 0),
-            ('label,value\n"a",1\n', 0),
-            ("value\n1\r\n2\r", 0),
-            ("value\n1\n\u00a02\n3\n", 1),
-            ("value\n1\n\n\u00a02\n3\n", 2),
-            ("value\n1,\n2\n", 1),
-            ("value\n1\nnan\n", 1),
+            "label,value\na\x00b,1\n",
+            "value\n1\x00\n",
+            'label,value\n"a",1\n',
+            "value\n1\r\n2\r",
+            "value\n1\n\u00a02\n3\n",
+            "value\n1\n\n\u00a02\n3\n",
+            "value\n1,\n2\n",
+            "value\n1\nnan\n",
+            "\ufeffvalue\n1.5\n-2",
+            "value\r\n1.5\r\n-2\r\n",
+            "label,value\r\na,1.5\r\nb,-2",
+            "value\n1.5\n-2\n\n \n",
+            "label,value\na,1.5\nb,-2\n,\n \t, \r\n,,\n",
+            "value\n1.5\n\n-2\n",
+            "label,value\na,1.5\n , \nb,-2\n,,\nc,3\n",
+            "label,value\nGuatemala,6\nC\u00f4te d'Ivoire,71\n",
         ],
         ids=["nul-label", "nul-value", "quoted", "mixed-line-ends", "unicode-space",
-             "unicode-space-after-a-blank-row", "too-wide", "nan"],
+             "unicode-space-after-a-blank-row", "too-wide", "nan", "bom", "crlf",
+             "crlf-labelled", "trailing-blank-rows", "trailing-blank-cells",
+             "blank-row-inside", "blank-cells-inside", "non-ascii-label"],
     )
-    def test_rows_only_the_loop_reads_go_to_it(self, tmp_path, monkeypatch, text, passes):
+    def test_rows_only_the_loop_reads_go_to_it(self, tmp_path, text):
         # on every Python: csv before 3.11 refuses NUL, which float() of
         # the bytes after a label would never see
         path = self.write(tmp_path, text)
-        calls = []
-        float_rows = dataio._float_rows
-
-        def counted(lines, width):
-            calls.append(width)
-            return float_rows(lines, width)
-
-        monkeypatch.setattr(dataio, "_float_rows", counted)
         assert dataio._plain_values(path.read_bytes()) is None
-        # a refused row that is not blank takes no second pass
-        assert len(calls) == passes
         assert_loads_as_the_row_loop(path)
 
-    def test_packaged_scores_skip_the_row_loop(self, monkeypatch):
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing")
+    @pytest.mark.parametrize(
+        "text, want",
+        [('label,value\n"Korea, South",60\nb,5\n', [60.0, 5.0]), ("value\r\n1.5\r\n-2\r\n", [1.5, -2.0])],
+        ids=["quoted-label", "crlf"],
+    )
+    def test_file_from_a_pipe_is_read_once(self, tmp_path, text, want):
+        # a FIFO gives its bytes to the first reader only; the writer answers
+        # any later open with an empty file, so a second read would fail
+        fifo = tmp_path / "data.csv"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def write():
+            first = True
+            while not done.is_set():
+                with open(fifo, "w", encoding="utf-8", newline="") as fh:  # waits for a reader
+                    if first:
+                        fh.write(text)
+                        first = False
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            got = load_training_csv(fifo)
+        finally:
+            done.set()
+            deadline = time.monotonic() + 10.0
+            while writer.is_alive() and time.monotonic() < deadline:
+                # a reader that opens and goes lets the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(0.01)
+        assert not writer.is_alive()
+        assert got.values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["packaged-scores", "gauss2-overflow", "repr-values"])
+    def test_benchmark_files_skip_the_row_loop(self, tmp_path, monkeypatch, name):
+        # the files the benchmark's elicit workloads read: the packaged
+        # scores, its overflow sample, and values written as it writes them
+        if name == "repr-values":
+            values = np.random.default_rng(23).normal(50.0, 10.0, 2000)
+            path = tmp_path / "values.csv"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("value\n")
+                fh.writelines(f"{v!r}\n" for v in values.tolist())
+        elif name == "gauss2-overflow":
+            path = Path(__file__).resolve().parents[1] / "bench" / "data" / "gauss2_overflow.csv"
+        else:
+            path = resources.files("lingmap").joinpath("fixtures", "hofstede_individualism.csv")
+
         def row_loop(fh):
             raise AssertionError("plain text went to the row loop")
 
-        ref = resources.files("lingmap").joinpath("fixtures", "hofstede_individualism.csv")
-        with resources.as_file(ref) as path:
+        with resources.as_file(path) as path:
             want = row_loop_load_training_csv(path)
             monkeypatch.setattr(dataio.csv, "reader", row_loop)
             assert load_training_csv(path).values.tobytes() == np.array(want).tobytes()

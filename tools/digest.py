@@ -14,10 +14,13 @@ bits for:
   samples of 110 integer scores on which the Gauss2 fit once stepped to a
   width whose square overflows (`bench/data/gauss2_overflow.csv`) or is 0
   (`COLLAPSE` below);
-* the values `load_training_csv` reads from three files: the packaged
-  scores (`label,value`), `bench/data/gauss2_overflow.csv` (`value`) and
-  a seeded 2000-row `value` file of `repr` floats, the way the benchmark
-  writes its `elicit-large` samples, written to a temporary directory.
+* the values `load_training_csv` reads from four files: the packaged
+  scores (`label,value`), `bench/data/gauss2_overflow.csv` (`value`), a
+  seeded 2000-row `value` file of `repr` floats, the way the benchmark
+  writes its `elicit-large` samples, and the packaged scores as a
+  spreadsheet exports them, with a byte-order mark, CR LF line ends, a
+  quoted label holding a comma and a blank row, which only the `csv` row
+  loop reads; the last two are written to a temporary directory.
 
 A change that claims "the same bits" runs this on the parent and on the
 change and compares the two lines.  lingmap is imported from the `src`
@@ -91,17 +94,25 @@ def elicitation_samples() -> list:
 
 
 def training_files(folder: str) -> list:
-    """The training CSVs whose loaded values are hashed; the seeded one is written to folder."""
+    """The training CSVs whose loaded values are hashed; two are written to folder."""
     rng = np.random.default_rng(2001)
     values = np.concatenate([rng.normal(30.0, 8.0, 1000), rng.normal(70.0, 8.0, 1000)])
     written = os.path.join(folder, "repr.csv")
     with open(written, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value\n")
         fh.writelines(f"{v!r}\n" for v in values.tolist())
+    scores = os.path.join(FIXTURES, "hofstede_individualism.csv")
+    with open(scores, encoding="utf-8") as fh:
+        header, first, *rows = fh.read().splitlines()
+    exported = os.path.join(folder, "exported.csv")
+    with open(exported, "w", encoding="utf-8-sig", newline="\r\n") as fh:
+        label, value = first.split(",")
+        fh.writelines(f"{line}\n" for line in [header, f'"{label}, Republic",{value}', ",", *rows])
     return [
-        os.path.join(FIXTURES, "hofstede_individualism.csv"),
+        scores,
         os.path.join(ROOT, "bench", "data", "gauss2_overflow.csv"),
         written,
+        exported,
     ]
 
 
