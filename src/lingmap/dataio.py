@@ -146,73 +146,78 @@ def _overwrite(path, data: bytes) -> None:
             fh.truncate()
 
 
-def _want(node, types, path, what):
-    if not isinstance(node, types):
-        raise SchemaError(path, f"expected {what}, got {type(node).__name__}")
+def _object(node, path, keys=None) -> dict:
+    """node, refused unless it is an object with no key outside keys (any keys if None)."""
+    if not isinstance(node, dict):
+        raise SchemaError(path, f"expected an object, got {type(node).__name__}")
+    if keys is not None:
+        extra = node.keys() - keys
+        if extra:
+            raise SchemaError(path, f"unknown key '{min(extra)}'")
     return node
 
 
-def _want_number(node, path) -> float:
+def _get(node: dict, key: str, path: str, types=object, what=None):
+    """node[key], refused if missing or, at path/key, if not of types (named by what)."""
+    if key not in node:
+        raise SchemaError(path, f"missing required key '{key}'")
+    value = node[key]
+    if not isinstance(value, types):
+        at = f"{path.rstrip('/')}/{key}"
+        raise SchemaError(at, f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _number(node, path) -> float:
+    """node as a float, refused unless it is a finite number (a bool is not one)."""
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(node).__name__}")
-    if not math.isfinite(node):
-        raise SchemaError(path, f"expected a finite number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer past the largest float; its digits are not echoed
+        message = "expected a finite number, got an integer too large for a float"
+        raise SchemaError(path, message) from None
+    if not math.isfinite(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return value
 
 
-def _want_str(node, path) -> str:
-    if not isinstance(node, str):
-        raise SchemaError(path, f"expected a string, got {type(node).__name__}")
-    return node
-
-
-def _get(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(path, f"missing required key '{key}'")
-    return obj[key]
-
-
-def _want_codes(node, path) -> list[str]:
-    node = _want(node, list, path, "an array")
-    return [_want_str(code, f"{path}/{i}") for i, code in enumerate(node)]
+def _codes(node: dict, key: str, path: str):
+    """Each string of the array node[key], yielded as it is checked, so that a
+    caller's own check of one code comes before the next code is read."""
+    for i, code in enumerate(_get(node, key, path, list, "an array")):
+        if not isinstance(code, str):
+            raise SchemaError(f"{path}/{key}/{i}", f"expected a string, got {type(code).__name__}")
+        yield code
 
 
 def _mf_from_json(node, path):
-    node = _want(node, dict, path, "an object")
-    mtype = _want_str(_get(node, "type", path), f"{path}/type")
+    mtype = _get(_object(node, path), "type", path, str, "a string")
     cls = SHAPES.get(mtype)
     if cls is None:
         raise SchemaError(
             f"{path}/type", f"unknown membership type {mtype!r} (use one of {', '.join(SHAPES)})"
         )
     names = [f.name for f in fields(cls)]
-    _check_keys(node, {"type", *names}, path)
+    _object(node, path, {"type", *names})
     args = {}
     for name in names:
-        value, at = _get(node, name, path), f"{path}/{name}"
         if name == "levels":
-            args[name] = _want_codes(value, at)
+            args[name] = list(_codes(node, name, path))
             if not args[name]:
-                raise SchemaError(at, "needs at least one code")
+                raise SchemaError(f"{path}/{name}", "needs at least one code")
         else:
-            args[name] = _want_number(value, at)
+            args[name] = _number(_get(node, name, path), f"{path}/{name}")
     try:
         return cls(**args)
     except DefinitionError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
-def _check_keys(node: dict, allowed: set, path: str) -> None:
-    extra = sorted(set(node) - allowed)
-    if extra:
-        raise SchemaError(path, f"unknown key '{extra[0]}'")
-
-
 def _variable_from_json(node, path) -> LinguisticVariable:
-    node = _want(node, dict, path, "an object")
-    _check_keys(node, {"name", "kind", "domain", "terms"}, path)
-    name = _want_str(_get(node, "name", path), f"{path}/name")
-    kind = _want_str(_get(node, "kind", path), f"{path}/kind")
+    node = _object(node, path, {"name", "kind", "domain", "terms"})
+    name = _get(node, "name", path, str, "a string")
+    kind = _get(node, "kind", path, str, "a string")
     if kind not in VARIABLE_KINDS:
         raise SchemaError(
             f"{path}/kind", f"unknown kind {kind!r} (use one of {', '.join(VARIABLE_KINDS)})"
@@ -224,25 +229,19 @@ def _variable_from_json(node, path) -> LinguisticVariable:
         if isinstance(dom_node, list):
             if len(dom_node) != 2:
                 raise SchemaError(dom_path, "interval domain must be a [lo, hi] pair")
-            domain = Interval(
-                _want_number(dom_node[0], f"{dom_path}/0"),
-                _want_number(dom_node[1], f"{dom_path}/1"),
-            )
+            domain = Interval(*(_number(b, f"{dom_path}/{i}") for i, b in enumerate(dom_node)))
         elif isinstance(dom_node, dict):
-            _check_keys(dom_node, {"codes"}, dom_path)
-            domain = CodeList(_want_codes(_get(dom_node, "codes", dom_path), f"{dom_path}/codes"))
+            domain = CodeList(_codes(_object(dom_node, dom_path, {"codes"}), "codes", dom_path))
         else:
             raise SchemaError(dom_path, "domain must be a [lo, hi] pair or {\"codes\": [...]}")
     except DefinitionError as exc:
         raise SchemaError(dom_path, str(exc)) from None
 
-    terms_node = _want(_get(node, "terms", path), list, f"{path}/terms", "an array")
     terms = {}
-    for i, term_node in enumerate(terms_node):
+    for i, term_node in enumerate(_get(node, "terms", path, list, "an array")):
         term_path = f"{path}/terms/{i}"
-        term_node = _want(term_node, dict, term_path, "an object")
-        _check_keys(term_node, {"name", "mf"}, term_path)
-        term_name = _want_str(_get(term_node, "name", term_path), f"{term_path}/name")
+        term_node = _object(term_node, term_path, {"name", "mf"})
+        term_name = _get(term_node, "name", term_path, str, "a string")
         if term_name in terms:
             raise SchemaError(f"{term_path}/name", f"duplicate term name '{term_name}'")
         terms[term_name] = _mf_from_json(_get(term_node, "mf", term_path), f"{term_path}/mf")
@@ -255,17 +254,15 @@ def _variable_from_json(node, path) -> LinguisticVariable:
 
 def catalog_from_doc(doc) -> Catalog:
     """Build a Catalog from a parsed JSON document, validating as it goes."""
-    doc = _want(doc, dict, "/", "an object")
-    _check_keys(doc, {"schema_version", "metadata", "variables", "fis"}, "/")
+    doc = _object(doc, "/", {"schema_version", "metadata", "variables", "fis"})
     version = _get(doc, "schema_version", "/")
     if version != SCHEMA_VERSION:
         raise SchemaError(
             "/schema_version", f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
-    metadata = doc.get("metadata", {})
-    metadata = _want(metadata, dict, "/metadata", "an object")
+    metadata = _object(doc.get("metadata", {}), "/metadata")
 
-    var_nodes = _want(_get(doc, "variables", "/"), list, "/variables", "an array")
+    var_nodes = _get(doc, "variables", "/", list, "an array")
     if not var_nodes:
         raise SchemaError("/variables", "needs at least one variable")
     variables: dict[str, LinguisticVariable] = {}
@@ -275,60 +272,49 @@ def catalog_from_doc(doc) -> Catalog:
             raise SchemaError(f"/variables/{i}/name", f"duplicate variable name '{var.name}'")
         variables[var.name] = var
 
-    fis = None
-    if "fis" in doc:
-        fis = _fis_from_json(doc["fis"], "/fis", variables)
+    fis = _fis_from_json(doc["fis"], "/fis", variables) if "fis" in doc else None
     return Catalog(variables=variables, metadata=metadata, fis=fis)
 
 
 def _fis_from_json(node, path, variables) -> FuzzyInferenceSystem:
-    node = _want(node, dict, path, "an object")
-    _check_keys(node, {"inputs", "outputs", "rules", "defuzz_resolution"}, path)
+    node = _object(node, path, {"inputs", "outputs", "rules", "defuzz_resolution"})
 
-    def name_list(key):
-        raw = _want(_get(node, key, path), list, f"{path}/{key}", "an array")
-        if not raw:
-            raise SchemaError(f"{path}/{key}", "needs at least one variable")
-        names = []
-        for i, n in enumerate(raw):
-            n = _want_str(n, f"{path}/{key}/{i}")
+    def named(key):
+        chosen = {}
+        for i, n in enumerate(_codes(node, key, path)):
             if n not in variables:
                 raise SchemaError(f"{path}/{key}/{i}", f"unknown variable '{n}'")
-            names.append(n)
-        return names
+            chosen[n] = variables[n]
+        if not chosen:
+            raise SchemaError(f"{path}/{key}", "needs at least one variable")
+        return chosen
 
-    inputs = name_list("inputs")
-    outputs = name_list("outputs")
-    rules_text = _want_str(_get(node, "rules", path), f"{path}/rules")
+    inputs = named("inputs")
+    outputs = named("outputs")
+    rules_text = _get(node, "rules", path, str, "a string")
     resolution = node.get("defuzz_resolution", 1001)
     if isinstance(resolution, bool) or not isinstance(resolution, int):
         raise SchemaError(f"{path}/defuzz_resolution", "expected an integer")
     try:
-        rules = parse_rules(rules_text)
-    except RuleSyntaxError as exc:
-        raise SchemaError(f"{path}/rules", str(exc)) from None
-    try:
-        return FuzzyInferenceSystem(
-            inputs={n: variables[n] for n in inputs},
-            outputs={n: variables[n] for n in outputs},
-            rules=rules,
-            defuzz_resolution=resolution,
-        )
-    except RuleValidationError as exc:
+        return FuzzyInferenceSystem(inputs, outputs, parse_rules(rules_text), resolution)
+    except (RuleSyntaxError, RuleValidationError) as exc:
         raise SchemaError(f"{path}/rules", str(exc)) from None
     except DefinitionError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
 def load_catalog(path) -> Catalog:
-    """Read a catalog from a UTF-8 JSON file, skipping a byte-order mark as some editors write."""
+    """Read a catalog from a UTF-8 JSON file, skipping a byte-order mark as some editors write.
+
+    Text that is not UTF-8, or not JSON that Python reads (an integer of over
+    4300 digits is not), raises SchemaError at "/"."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise SchemaError("/", f"{path}: not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
+            raise SchemaError("/", f"not valid JSON: {exc}") from None
     return catalog_from_doc(doc)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -23,14 +24,22 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed real interval [lo, hi]."""
+    """Closed real interval [lo, hi]: finite lo < hi, with a finite width hi - lo.
+
+    A width that overflows, as of [-1.7e308, 1.7e308], would make the grid's
+    steps and a centroid over it NaN.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.lo >= self.hi:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise DefinitionError(f"interval needs finite lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise DefinitionError(
+                f"interval needs a finite width hi - lo, got [{self.lo}, {self.hi}]"
+            )
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"

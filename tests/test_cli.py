@@ -464,7 +464,8 @@ class TestElicit:
         out = tmp_path / "cat.json"
         args = ["elicit", "--data", str(data), "--domain=-1e308,1e308", "--out", str(out)]
         assert cli.main(args) == 2
-        assert "data span from -1e+308 to 1e+308 is not a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "interval needs a finite width hi - lo, got [-1e+308, 1e+308]" in err
         assert not out.exists()
 
     def test_data_not_utf8(self, capsys, tmp_path):
@@ -542,6 +543,27 @@ class TestValidate:
         assert cli.main([*command, str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: /variables/0/terms/0/mf: gauss2 widths")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("digits", [401, 4301])
+    @pytest.mark.parametrize("where", ["domain", "mf"])
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path, case1_path, where, digits):
+        with open(case1_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        distance = doc["variables"][1]
+        if where == "domain":
+            distance["domain"][1] = "<digits>"
+        else:
+            distance["terms"][0]["mf"]["d"] = "<digits>"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"<digits>"', "1" + "0" * (digits - 1)))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        if digits == 401:
+            path = "/variables/1/domain/1" if where == "domain" else "/variables/1/terms/0/mf/d"
+            assert err.startswith(f"error: {path}: expected a finite number, got an integer too")
+        else:
+            assert err.startswith("error: /: not valid JSON: Exceeds the limit (4300 digits)")
         assert "Traceback" not in err
 
     def test_trapezoid_edge_width_that_overflows(self, capsys, tmp_path, case1_path):

@@ -217,6 +217,396 @@ class TestRoundTrip:
         assert dumps_catalog(reparsed) == text
 
 
+def golden_doc():
+    """A valid catalog with each kind of node: interval and code-list domains, a
+    trapezoid, a gauss2 and two crisp terms, and a fis section."""
+    return {
+        "schema_version": 1,
+        "metadata": {"source": "golden"},
+        "variables": [
+            {
+                "name": "dist",
+                "kind": "ratio",
+                "domain": [0.0, 10.0],
+                "terms": [
+                    {"name": "near", "mf": {"type": "trapezoid", "a": 0, "b": 0, "c": 3, "d": 6}},
+                    {
+                        "name": "far",
+                        "mf": {
+                            "type": "gauss2",
+                            "alpha1": 1, "beta1": 8, "gamma1": 2,
+                            "alpha2": 0.5, "beta2": 10, "gamma2": 1,
+                        },
+                    },
+                ],
+            },
+            {
+                "name": "gender",
+                "kind": "nominal",
+                "domain": {"codes": ["f", "m"]},
+                "terms": [
+                    {"name": "female", "mf": {"type": "crisp", "levels": ["f"]}},
+                    {"name": "male", "mf": {"type": "crisp", "levels": ["m"]}},
+                ],
+            },
+            {
+                "name": "y",
+                "kind": "ratio",
+                "domain": [0.0, 1.0],
+                "terms": [
+                    {"name": "t", "mf": {"type": "trapezoid", "a": 0, "b": 0.4, "c": 0.6, "d": 1}}
+                ],
+            },
+        ],
+        "fis": {
+            "inputs": ["dist", "gender"],
+            "outputs": ["y"],
+            "rules": "if dist is near and gender is female then y is t\n",
+            "defuzz_resolution": 101,
+        },
+    }
+
+
+DELETE = object()
+# written into the file as an integer of 4301 digits, which json.dumps cannot write
+DIGITS_4301 = "<4301 digits>"
+
+
+def edit_doc(doc, pointer, value):
+    """doc with the node at a JSON pointer set to value, or removed if value is DELETE;
+    the pointer "" replaces doc."""
+    if not pointer:
+        return value
+    *parents, last = pointer.split("/")[1:]
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    if isinstance(node, list):
+        last = int(last)
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# mutation name -> ({pointer: value}, str() of the SchemaError load_catalog raises).
+# A row with two edits pins which fault is reported first.
+GOLDEN_ERRORS = {
+    "root_array": ({"": []}, "/: expected an object, got list"),
+    "root_unknown_key_before_version": (
+        {"/extra": 1, "/schema_version": 2},
+        "/: unknown key 'extra'",
+    ),
+    "version_missing": ({"/schema_version": DELETE}, "/: missing required key 'schema_version'"),
+    "version_2": (
+        {"/schema_version": 2},
+        "/schema_version: unsupported schema version 2 (expected 1)",
+    ),
+    "version_string": (
+        {"/schema_version": "1"},
+        "/schema_version: unsupported schema version '1' (expected 1)",
+    ),
+    "metadata_array": ({"/metadata": []}, "/metadata: expected an object, got list"),
+    "variables_missing": ({"/variables": DELETE}, "/: missing required key 'variables'"),
+    "variables_object": ({"/variables": {}}, "/variables: expected an array, got dict"),
+    "variables_empty": ({"/variables": []}, "/variables: needs at least one variable"),
+    "variable_string": ({"/variables/0": "dist"}, "/variables/0: expected an object, got str"),
+    "variable_duplicate": (
+        {"/variables/2/name": "dist"},
+        "/variables/2/name: duplicate variable name 'dist'",
+    ),
+    "variable_unknown_key_before_name": (
+        {"/variables/0/color": "red", "/variables/0/name": DELETE},
+        "/variables/0: unknown key 'color'",
+    ),
+    "name_missing": ({"/variables/0/name": DELETE}, "/variables/0: missing required key 'name'"),
+    "name_before_kind": (
+        {"/variables/0/name": 7, "/variables/0/kind": "numeric"},
+        "/variables/0/name: expected a string, got int",
+    ),
+    "name_empty": ({"/variables/0/name": ""}, "/variables/0: variable name must be nonempty"),
+    "kind_missing": ({"/variables/0/kind": DELETE}, "/variables/0: missing required key 'kind'"),
+    "kind_int": ({"/variables/0/kind": 3}, "/variables/0/kind: expected a string, got int"),
+    "kind_before_domain": (
+        {"/variables/0/kind": "numeric", "/variables/0/domain": "wide"},
+        "/variables/0/kind: unknown kind 'numeric' (use one of nominal, ordinal, interval, ratio)",
+    ),
+    "domain_missing": (
+        {"/variables/0/domain": DELETE},
+        "/variables/0: missing required key 'domain'",
+    ),
+    "domain_string": (
+        {"/variables/0/domain": "wide"},
+        '/variables/0/domain: domain must be a [lo, hi] pair or {"codes": [...]}',
+    ),
+    "domain_three_bounds": (
+        {"/variables/0/domain": [0, 5, 10]},
+        "/variables/0/domain: interval domain must be a [lo, hi] pair",
+    ),
+    "domain_hi_null": (
+        {"/variables/0/domain": [0, None]},
+        "/variables/0/domain/1: expected a number, got NoneType",
+    ),
+    "domain_lo_bool": (
+        {"/variables/0/domain": [True, 10]},
+        "/variables/0/domain/0: expected a number, got bool",
+    ),
+    "domain_lo_before_hi": (
+        {"/variables/0/domain": ["0", None]},
+        "/variables/0/domain/0: expected a number, got str",
+    ),
+    "domain_hi_infinite": (
+        {"/variables/0/domain": [0, math.inf]},
+        "/variables/0/domain/1: expected a finite number, got inf",
+    ),
+    "domain_lo_nan": (
+        {"/variables/0/domain": [math.nan, 10]},
+        "/variables/0/domain/0: expected a finite number, got nan",
+    ),
+    "domain_hi_401_digits": (
+        {"/variables/0/domain": [0, 10**400]},
+        "/variables/0/domain/1: expected a finite number, got an integer too large for a float",
+    ),
+    "domain_reversed": (
+        {"/variables/0/domain": [10.0, 0.0]},
+        "/variables/0/domain: interval needs finite lo < hi, got [10.0, 0.0]",
+    ),
+    "domain_width_overflows": (
+        {"/variables/2/domain": [-1.7e308, 1.7e308]},
+        "/variables/2/domain: interval needs a finite width hi - lo, got [-1.7e+308, 1.7e+308]",
+    ),
+    "domain_before_terms": (
+        {"/variables/0/domain": [5.0], "/variables/0/terms": DELETE},
+        "/variables/0/domain: interval domain must be a [lo, hi] pair",
+    ),
+    "codes_missing": (
+        {"/variables/1/domain": {}},
+        "/variables/1/domain: missing required key 'codes'",
+    ),
+    "codes_unknown_key_before_codes": (
+        {"/variables/1/domain": {"order": "asc"}},
+        "/variables/1/domain: unknown key 'order'",
+    ),
+    "codes_string": (
+        {"/variables/1/domain/codes": "fm"},
+        "/variables/1/domain/codes: expected an array, got str",
+    ),
+    "codes_int": (
+        {"/variables/1/domain/codes/1": 2},
+        "/variables/1/domain/codes/1: expected a string, got int",
+    ),
+    "codes_empty": (
+        {"/variables/1/domain/codes": []},
+        "/variables/1/domain: code list must be nonempty",
+    ),
+    "codes_duplicate": (
+        {"/variables/1/domain/codes": ["f", "f"]},
+        "/variables/1/domain: code list contains duplicates",
+    ),
+    "terms_missing": ({"/variables/0/terms": DELETE}, "/variables/0: missing required key 'terms'"),
+    "terms_object": ({"/variables/0/terms": {}}, "/variables/0/terms: expected an array, got dict"),
+    "terms_empty": (
+        {"/variables/0/terms": []},
+        "/variables/0: variable 'dist' needs at least one term",
+    ),
+    "term_string": (
+        {"/variables/0/terms/0": "near"},
+        "/variables/0/terms/0: expected an object, got str",
+    ),
+    "term_unknown_key": (
+        {"/variables/0/terms/0/weight": 1},
+        "/variables/0/terms/0: unknown key 'weight'",
+    ),
+    "term_name_missing": (
+        {"/variables/0/terms/0/name": DELETE},
+        "/variables/0/terms/0: missing required key 'name'",
+    ),
+    "term_name_before_mf": (
+        {"/variables/0/terms/0/name": 1, "/variables/0/terms/0/mf": DELETE},
+        "/variables/0/terms/0/name: expected a string, got int",
+    ),
+    "term_duplicate": (
+        {"/variables/0/terms/1/name": "near"},
+        "/variables/0/terms/1/name: duplicate term name 'near'",
+    ),
+    "mf_missing": (
+        {"/variables/0/terms/0/mf": DELETE},
+        "/variables/0/terms/0: missing required key 'mf'",
+    ),
+    "mf_array": (
+        {"/variables/0/terms/0/mf": [0, 0, 3, 6]},
+        "/variables/0/terms/0/mf: expected an object, got list",
+    ),
+    "mf_type_missing": (
+        {"/variables/0/terms/0/mf/type": DELETE},
+        "/variables/0/terms/0/mf: missing required key 'type'",
+    ),
+    "mf_type_int": (
+        {"/variables/0/terms/0/mf/type": 1},
+        "/variables/0/terms/0/mf/type: expected a string, got int",
+    ),
+    "mf_type_before_unknown_key": (
+        {"/variables/0/terms/0/mf/type": "triangle", "/variables/0/terms/0/mf/e": 1},
+        "/variables/0/terms/0/mf/type: unknown membership type 'triangle' (use one of "
+        "trapezoid, gauss2, crisp)",
+    ),
+    "mf_unknown_key_before_missing": (
+        {"/variables/0/terms/0/mf/e": 1, "/variables/0/terms/0/mf/a": DELETE},
+        "/variables/0/terms/0/mf: unknown key 'e'",
+    ),
+    "mf_key_of_other_shape": (
+        {"/variables/0/terms/0/mf/gamma1": 1},
+        "/variables/0/terms/0/mf: unknown key 'gamma1'",
+    ),
+    "trapezoid_c_missing": (
+        {"/variables/0/terms/0/mf/c": DELETE},
+        "/variables/0/terms/0/mf: missing required key 'c'",
+    ),
+    "trapezoid_a_before_d": (
+        {"/variables/0/terms/0/mf/a": "x", "/variables/0/terms/0/mf/d": DELETE},
+        "/variables/0/terms/0/mf/a: expected a number, got str",
+    ),
+    "trapezoid_a_minus_infinity": (
+        {"/variables/0/terms/0/mf/a": -math.inf},
+        "/variables/0/terms/0/mf/a: expected a finite number, got -inf",
+    ),
+    "trapezoid_a_huge_digits": (
+        {"/variables/0/terms/0/mf/a": DIGITS_4301},
+        "/: not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: value"
+        " has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    "trapezoid_out_of_order": (
+        {"/variables/0/terms/0/mf/a": 5, "/variables/0/terms/0/mf/b": 1},
+        "/variables/0/terms/0/mf: trapezoid breakpoints must satisfy a <= b <= c <= d, with "
+        "finite edge widths b - a and d - c, one ulp if vertical, got (5.0, 1.0, 3.0, 6.0)",
+    ),
+    "trapezoid_edge_overflows": (
+        {
+            "/variables/0/terms/0/mf/a": -1.7e308,
+            "/variables/0/terms/0/mf/b": 1.7e308,
+            "/variables/0/terms/0/mf/c": 1.7e308,
+            "/variables/0/terms/0/mf/d": 1.7e308,
+        },
+        "/variables/0/terms/0/mf: trapezoid breakpoints must satisfy a <= b <= c <= d, with "
+        "finite edge widths b - a and d - c, one ulp if vertical, got (-1.7e+308, 1.7e+308, "
+        "1.7e+308, 1.7e+308)",
+    ),
+    "gauss2_gamma2_missing": (
+        {"/variables/0/terms/1/mf/gamma2": DELETE},
+        "/variables/0/terms/1/mf: missing required key 'gamma2'",
+    ),
+    "gauss2_alpha1_string": (
+        {"/variables/0/terms/1/mf/alpha1": "1"},
+        "/variables/0/terms/1/mf/alpha1: expected a number, got str",
+    ),
+    "gauss2_gamma1_zero": (
+        {"/variables/0/terms/1/mf/gamma1": 0},
+        "/variables/0/terms/1/mf: gauss2 widths must be positive with a finite nonzero square, "
+        "got gamma1=0.0, gamma2=1.0",
+    ),
+    "gauss2_gamma1_square_underflows": (
+        {"/variables/0/terms/1/mf/gamma1": 1e-200},
+        "/variables/0/terms/1/mf: gauss2 widths must be positive with a finite nonzero square, "
+        "got gamma1=1e-200, gamma2=1.0",
+    ),
+    "crisp_on_interval": (
+        {"/variables/0/terms/0/mf": {"type": "crisp", "levels": ["f"]}},
+        "/variables/0: variable 'dist': term 'near' must be a trapezoid or gauss2 shape on an "
+        "interval domain",
+    ),
+    "trapezoid_on_codes": (
+        {"/variables/1/terms/0/mf": {"type": "trapezoid", "a": 0, "b": 0, "c": 1, "d": 1}},
+        "/variables/1: variable 'gender': term 'female' must be a crisp label on a code-list "
+        "domain",
+    ),
+    "crisp_levels_missing": (
+        {"/variables/1/terms/0/mf/levels": DELETE},
+        "/variables/1/terms/0/mf: missing required key 'levels'",
+    ),
+    "crisp_unknown_key": (
+        {"/variables/1/terms/0/mf/a": 1},
+        "/variables/1/terms/0/mf: unknown key 'a'",
+    ),
+    "crisp_levels_string": (
+        {"/variables/1/terms/0/mf/levels": "f"},
+        "/variables/1/terms/0/mf/levels: expected an array, got str",
+    ),
+    "crisp_levels_empty": (
+        {"/variables/1/terms/0/mf/levels": []},
+        "/variables/1/terms/0/mf/levels: needs at least one code",
+    ),
+    "crisp_level_int": (
+        {"/variables/1/terms/0/mf/levels": ["f", 0]},
+        "/variables/1/terms/0/mf/levels/1: expected a string, got int",
+    ),
+    "crisp_level_outside_domain": (
+        {"/variables/1/terms/0/mf/levels": ["x"]},
+        "/variables/1: variable 'gender': term 'female' matches codes ['x'] outside the domain "
+        "{f, m}",
+    ),
+    "fis_array": ({"/fis": []}, "/fis: expected an object, got list"),
+    "fis_unknown_key": ({"/fis/method": "mamdani"}, "/fis: unknown key 'method'"),
+    "fis_inputs_missing": ({"/fis/inputs": DELETE}, "/fis: missing required key 'inputs'"),
+    "fis_inputs_string": ({"/fis/inputs": "dist"}, "/fis/inputs: expected an array, got str"),
+    "fis_inputs_empty": ({"/fis/inputs": []}, "/fis/inputs: needs at least one variable"),
+    "fis_input_int": ({"/fis/inputs/1": 1}, "/fis/inputs/1: expected a string, got int"),
+    "fis_input_unknown_before_int": (
+        {"/fis/inputs": ["age", 1]},
+        "/fis/inputs/0: unknown variable 'age'",
+    ),
+    "fis_input_unknown_after_repeat": (
+        {"/fis/inputs": ["dist", "dist", "age"]},
+        "/fis/inputs/2: unknown variable 'age'",
+    ),
+    "fis_inputs_before_outputs": (
+        {"/fis/inputs/0": "age", "/fis/outputs": DELETE},
+        "/fis/inputs/0: unknown variable 'age'",
+    ),
+    "fis_outputs_missing": ({"/fis/outputs": DELETE}, "/fis: missing required key 'outputs'"),
+    "fis_outputs_empty": ({"/fis/outputs": []}, "/fis/outputs: needs at least one variable"),
+    "fis_output_unknown": ({"/fis/outputs/0": "speed"}, "/fis/outputs/0: unknown variable 'speed'"),
+    "fis_output_also_input": (
+        {"/fis/outputs/0": "dist"},
+        "/fis: variables cannot be both input and output: ['dist']",
+    ),
+    "fis_output_on_codes": (
+        {
+            "/fis/inputs": ["dist"],
+            "/fis/outputs": ["gender"],
+            "/fis/rules": "if dist is near then gender is female\n",
+        },
+        "/fis: output variable 'gender' must have an interval domain",
+    ),
+    "fis_rules_missing": ({"/fis/rules": DELETE}, "/fis: missing required key 'rules'"),
+    "fis_rules_array": (
+        {"/fis/rules": ["if dist is near then y is t"]},
+        "/fis/rules: expected a string, got list",
+    ),
+    "fis_rules_before_resolution": (
+        {"/fis/rules": 1, "/fis/defuzz_resolution": "x"},
+        "/fis/rules: expected a string, got int",
+    ),
+    "fis_rules_empty": ({"/fis/rules": ""}, "/fis/rules: 1:1: no rules found in input"),
+    "fis_rules_unknown_term": (
+        {"/fis/rules": "if dist is enormous then y is t\n"},
+        "/fis/rules: 1:4: variable 'dist' has no term 'enormous' (known terms: near, far)",
+    ),
+    "fis_resolution_float": (
+        {"/fis/defuzz_resolution": 101.0},
+        "/fis/defuzz_resolution: expected an integer",
+    ),
+    "fis_resolution_one": (
+        {"/fis/defuzz_resolution": 1},
+        "/fis: defuzz_resolution must be an integer from 2 to 1000000",
+    ),
+    "fis_rules_parsed_before_resolution_range": (
+        {"/fis/defuzz_resolution": 1, "/fis/rules": "if dist near"},
+        "/fis/rules: 1:9: expected 'is', got 'near'",
+    ),
+}
+
+
 class TestSchemaErrors:
     def assert_path(self, tmp_path, doc, path_fragment):
         file = write_doc(tmp_path, doc)
@@ -224,6 +614,23 @@ class TestSchemaErrors:
             load_catalog(file)
         assert path_fragment in err.value.path
         return err.value
+
+    def test_golden_doc_loads(self):
+        catalog = catalog_from_doc(golden_doc())
+        assert list(catalog.variables) == ["dist", "gender", "y"]
+
+    @pytest.mark.parametrize("mutation", list(GOLDEN_ERRORS))
+    def test_first_error_word_for_word(self, tmp_path, mutation):
+        edits, expected = GOLDEN_ERRORS[mutation]
+        doc = golden_doc()
+        for pointer, value in edits.items():
+            doc = edit_doc(doc, pointer, value)
+        file = tmp_path / "cat.json"
+        text = json.dumps(doc).replace(f'"{DIGITS_4301}"', "1" + "0" * 4300)
+        file.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_catalog(file)
+        assert str(err.value) == expected
 
     def test_wrong_version(self, tmp_path):
         self.assert_path(tmp_path, minimal_doc(schema_version=2), "/schema_version")
@@ -287,6 +694,21 @@ class TestSchemaErrors:
         file.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError):
             load_catalog(file)
+
+    @pytest.mark.parametrize("digits", [401, 4301])
+    @pytest.mark.parametrize("pointer", ["/variables/0/domain/1", "/variables/0/terms/0/mf/d"])
+    def test_integer_too_large_for_a_float(self, tmp_path, pointer, digits):
+        doc = edit_doc(minimal_doc(), pointer, "<digits>")
+        file = tmp_path / "cat.json"
+        file.write_text(json.dumps(doc).replace('"<digits>"', "9" * digits), encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_catalog(file)
+        if digits == 401:
+            too_large = "expected a finite number, got an integer too large for a float"
+            assert (err.value.path, err.value.message) == (pointer, too_large)
+        else:
+            assert err.value.path == "/"
+            assert err.value.message.startswith("not valid JSON: Exceeds the limit (4300 digits)")
 
     def test_duplicate_variable(self, tmp_path):
         doc = minimal_doc()

@@ -135,9 +135,6 @@ class TestSubtractiveClustering:
     def test_overflowing_span_is_named(self):
         with pytest.raises(DatasetError, match="span from -1e[+]308 to 1e[+]308"):
             subtractive_clusters(TrainingSet([-1e308, 1e308]))
-        data = TrainingSet(np.array([-1e308] * 3 + [1e308] * 3))
-        with pytest.raises(DatasetError, match="is not a finite number"):
-            elicit_variable(data, "x", Interval(-1e308, 1e308))
 
     def test_memory_is_linear_in_n(self):
         # the n x n formulation peaks at 572 MB here

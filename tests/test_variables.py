@@ -38,6 +38,8 @@ class TestDomains:
             Interval(3.0, 1.0)
         with pytest.raises(DefinitionError):
             Interval(0.0, float("inf"))
+        with pytest.raises(DefinitionError, match="finite width"):
+            Interval(-1.7e308, 1.7e308)
 
     def test_interval_grid(self):
         assert Interval(0.0, 1.0).grid(3).tolist() == [0.0, 0.5, 1.0]
