@@ -1,10 +1,10 @@
 """Loading and saving variable catalogs, inference systems and training data.
 
-Catalog documents are JSON with a fixed layout (see schema/catalog.schema.json).
-Serialization is canonical: fixed key order, two-space indent, floats written
+Catalog documents are JSON with a fixed layout, which catalog_from_doc alone
+checks (README's "Catalog files" states its rules; `lingmap validate` applies
+them).  Serialization is canonical: fixed key order, two-space indent, floats
 in shortest round-trip form, one trailing newline.  Saving a just-loaded
-catalog therefore reproduces the file byte for byte, which makes the format
-safe to diff and to keep under version control.
+canonical file reproduces it byte for byte, so saved catalogs diff cleanly.
 
 Schema problems are reported as SchemaError with a JSON-pointer-style path
 ("/variables/0/terms/1/mf/a") so the offending node can be found directly.
@@ -256,7 +256,7 @@ def catalog_from_doc(doc) -> Catalog:
     """Build a Catalog from a parsed JSON document, validating as it goes."""
     doc = _object(doc, "/", {"schema_version", "metadata", "variables", "fis"})
     version = _get(doc, "schema_version", "/")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise SchemaError(
             "/schema_version", f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
@@ -280,13 +280,17 @@ def _fis_from_json(node, path, variables) -> FuzzyInferenceSystem:
     node = _object(node, path, {"inputs", "outputs", "rules", "defuzz_resolution"})
 
     def named(key):
-        chosen = {}
+        chosen, repeat = {}, None
         for i, n in enumerate(_codes(node, key, path)):
             if n not in variables:
                 raise SchemaError(f"{path}/{key}/{i}", f"unknown variable '{n}'")
+            if n in chosen and repeat is None:
+                repeat = SchemaError(f"{path}/{key}/{i}", f"duplicate variable name '{n}'")
             chosen[n] = variables[n]
         if not chosen:
             raise SchemaError(f"{path}/{key}", "needs at least one variable")
+        if repeat is not None:
+            raise repeat
         return chosen
 
     inputs = named("inputs")

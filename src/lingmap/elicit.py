@@ -116,7 +116,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, DefinitionError, ElicitationError
-from .membership import Gauss2
+from .membership import Gauss2, _gauss2_bumps
 from .variables import Interval, LinguisticVariable, _coverage
 
 # A two-term Gaussian has six parameters, so fits (and therefore
@@ -583,18 +583,13 @@ def fcm(data: TrainingSet, init) -> ClusterModel:
 def _gauss2_model(xs: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Model values at p = (a1, b1, log g1, a2, b2, log g2), and the intermediates of the Jacobian.
 
-    Both bumps are one [2, n] expression.  The squared widths are float64,
-    so a log-width that saturates gives 0 or inf there rather than an
-    OverflowError; fit_gauss2 rejects such a trial.  Called with numpy's
-    floating-point warnings off.
+    Both bumps are one [2, n] expression, the one Gauss2 evaluates.  The
+    squared widths are float64, so a log-width that saturates gives 0 or inf
+    there rather than an OverflowError; fit_gauss2 rejects such a trial.
+    Called with numpy's floating-point warnings off.
     """
     width2 = np.square(np.exp(p[2::3]))[:, None]
-    dx = xs - p[1::3, None]
-    # exp(-dx^2 / width2), in place; x / -w is -x / w bit for bit
-    e = np.square(dx)
-    np.divide(e, -width2, out=e)
-    np.exp(e, out=e)
-    ae = p[0::3, None] * e
+    dx, e, ae = _gauss2_bumps(p[0::3, None], p[1::3, None], -width2, xs)
     return ae[0] + ae[1], (e, ae, dx, width2)
 
 

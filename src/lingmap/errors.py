@@ -55,7 +55,7 @@ class ElicitationError(LingmapError):
 
 
 class SchemaError(LingmapError):
-    """A catalog or inference-system document violates the JSON schema.
+    """A catalog or inference-system document breaks a rule of the catalog format.
 
     The message starts with a JSON-pointer-style path to the offending field.
     """

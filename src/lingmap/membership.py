@@ -11,15 +11,24 @@ import numpy as np
 from .errors import DefinitionError
 
 
+def _gauss2_bumps(alpha, beta, neg_width2, x) -> tuple:
+    """x - beta, e = exp((x - beta)**2 / neg_width2) and alpha * e, both bumps of a Gauss2 on
+    the first axis, for evaluation and the fit; x / -w is -x / w bit for bit, so no negation."""
+    dx = x - beta
+    e = np.square(dx)
+    np.divide(e, neg_width2, out=e)
+    np.exp(e, out=e)
+    return dx, e, alpha * e
+
+
 def _gauss2(params, x) -> np.ndarray:
     """Each Gauss2 of params at x, [shapes, *x.shape]: params is the Gauss2 _params (alphas,
     betas and -gamma**2 of both bumps) on a last shapes axis, with axes added for x.
 
     One array expression for every shape, so a variable's Gauss2 terms cost
-    the numpy calls of one term; x / -w is the bits of -x / w, so no negation.
+    the numpy calls of one term.
     """
-    alpha, beta, neg_width2 = params
-    weighted = alpha * np.exp((x - beta) ** 2 / neg_width2)
+    weighted = _gauss2_bumps(*params, x)[2]
     return np.minimum(np.maximum(weighted[0] + weighted[1], 0.0), 1.0)
 
 
@@ -126,11 +135,14 @@ class CrispLabel:
     levels: frozenset
 
     def __init__(self, levels):
+        levels = list(levels)
         object.__setattr__(self, "levels", frozenset(levels))
         if not self.levels:
             raise DefinitionError("crisp label needs at least one matching level")
         if not all(isinstance(code, str) for code in self.levels):
             raise DefinitionError(f"crisp label codes must be strings, got {set(self.levels)}")
+        if len(self.levels) != len(levels):
+            raise DefinitionError("crisp label contains duplicate levels")
 
     def __call__(self, x):
         if isinstance(x, str):

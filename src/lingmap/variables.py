@@ -94,6 +94,8 @@ class LinguisticVariable:
             raise DefinitionError(f"variable '{self.name}' needs at least one term")
         object.__setattr__(self, "terms", dict(self.terms))
         for term, mf in self.terms.items():
+            if not term:
+                raise DefinitionError(f"variable '{self.name}': term names must be nonempty")
             if isinstance(self.domain, CodeList):
                 if not isinstance(mf, CrispLabel):
                     raise DefinitionError(

@@ -148,6 +148,10 @@ class TestEval:
         assert cli.main(["eval", "--fis", case1_path, "--in", "individualism"]) == 2
         assert "bad assignment" in capsys.readouterr().err
 
+    def test_no_assignments(self, capsys, case1_path):
+        assert cli.main(["eval", "--fis", case1_path, "--in", ","]) == 2
+        assert capsys.readouterr().err == "error: no input assignments given\n"
+
     def test_catalog_without_fis(self, capsys, tmp_path, case1_catalog):
         bare = tmp_path / "bare.json"
         save_catalog(type(case1_catalog)(variables=case1_catalog.variables), bare)
@@ -344,6 +348,12 @@ class TestSurface:
         assert cli.main(args) == 2
         assert "steps must be at least 1" in capsys.readouterr().err
 
+    def test_non_numeric_axis_bound(self, capsys, case1_path):
+        args = ["surface", "--fis", case1_path, "--axis", "individualism=low:100:3"]
+        assert cli.main(args) == 2
+        expected = "error: bad axis 'individualism=low:100:3': expected VAR=LO:HI:STEPS\n"
+        assert capsys.readouterr().err == expected
+
     @pytest.mark.parametrize(
         "axes, message",
         [
@@ -434,6 +444,38 @@ class TestElicit:
         assert cli.main(args) == 2
         assert "bad domain" in capsys.readouterr().err
 
+    def test_non_numeric_domain(self, capsys, tmp_path, csv_path):
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", csv_path, "--domain", "0,max", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: bad domain '0,max': expected LO,HI\n"
+        assert not out.exists()
+
+    def test_default_name_of_a_file_named_by_a_digit(self, capsys, tmp_path, csv_path):
+        data = tmp_path / "2024-scores.csv"
+        data.write_bytes(open(csv_path, "rb").read())
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", str(data), "--domain", "0,100", "--out", str(out)]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert list(load_catalog(out).variables) == ["x2024_scores"]
+
+    def test_warnings_go_to_stderr(self, capsys, tmp_path):
+        # two tight modes far apart leave the middle of the domain uncovered
+        data = tmp_path / "gap.csv"
+        values = [*(i / 29 for i in range(30)), *(99 + i / 29 for i in range(30))]
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", str(data), "--domain", "0,100", "--name", "x",
+                "--out", str(out)]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: coverage of 'x' dips to 0.000 near 50, below the floor 0.2\n"
+        )
+        assert "warning:" not in captured.out
+        assert out.exists()
+
     def test_data_outside_domain(self, capsys, tmp_path, csv_path):
         out = tmp_path / "cat.json"
         args = ["elicit", "--data", csv_path, "--domain", "0,50", "--out", str(out)]
@@ -507,6 +549,17 @@ class TestValidate:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["validate", str(bad)]) == 2
         assert "/fis/inputs" in capsys.readouterr().err
+
+    def test_repeated_fis_input_is_schema_error(self, capsys, tmp_path, case2_path):
+        # the repeat was merged, so the saved text differed from the loaded
+        with open(case2_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["fis"]["inputs"].append(doc["fis"]["inputs"][0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: /fis/inputs/2: duplicate variable name 'individualism'\n"
 
     def test_not_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -186,6 +186,13 @@ class TestRoundTrip:
         with pytest.raises(DefinitionError, match="'individualism' differs"):
             Catalog(variables={"individualism": other}, fis=fis)
 
+    def test_catalog_key_must_be_the_variable_name(self, case1_catalog):
+        ind = case1_catalog.variables["individualism"]
+        with pytest.raises(
+            DefinitionError, match="catalog key 'idv' does not match variable name 'individualism'"
+        ):
+            Catalog(variables={"idv": ind})
+
     simple_float = st.floats(
         min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
     )
@@ -307,6 +314,10 @@ GOLDEN_ERRORS = {
         {"/schema_version": "1"},
         "/schema_version: unsupported schema version '1' (expected 1)",
     ),
+    "version_true": (
+        {"/schema_version": True},
+        "/schema_version: unsupported schema version True (expected 1)",
+    ),
     "metadata_array": ({"/metadata": []}, "/metadata: expected an object, got list"),
     "variables_missing": ({"/variables": DELETE}, "/: missing required key 'variables'"),
     "variables_object": ({"/variables": {}}, "/variables: expected an array, got dict"),
@@ -426,6 +437,10 @@ GOLDEN_ERRORS = {
         {"/variables/0/terms/0/name": 1, "/variables/0/terms/0/mf": DELETE},
         "/variables/0/terms/0/name: expected a string, got int",
     ),
+    "term_name_empty": (
+        {"/variables/0/terms/0/name": ""},
+        "/variables/0: variable 'dist': term names must be nonempty",
+    ),
     "term_duplicate": (
         {"/variables/0/terms/1/name": "near"},
         "/variables/0/terms/1/name: duplicate term name 'near'",
@@ -540,6 +555,10 @@ GOLDEN_ERRORS = {
         {"/variables/1/terms/0/mf/levels": ["f", 0]},
         "/variables/1/terms/0/mf/levels/1: expected a string, got int",
     ),
+    "crisp_level_repeated": (
+        {"/variables/1/terms/1/mf/levels": ["m", "m"]},
+        "/variables/1/terms/1/mf: crisp label contains duplicate levels",
+    ),
     "crisp_level_outside_domain": (
         {"/variables/1/terms/0/mf/levels": ["x"]},
         "/variables/1: variable 'gender': term 'female' matches codes ['x'] outside the domain "
@@ -559,6 +578,14 @@ GOLDEN_ERRORS = {
         {"/fis/inputs": ["dist", "dist", "age"]},
         "/fis/inputs/2: unknown variable 'age'",
     ),
+    "fis_input_repeated": (
+        {"/fis/inputs": ["dist", "gender", "dist"]},
+        "/fis/inputs/2: duplicate variable name 'dist'",
+    ),
+    "fis_input_repeat_before_outputs": (
+        {"/fis/inputs": ["dist", "dist"], "/fis/outputs": ["speed"]},
+        "/fis/inputs/1: duplicate variable name 'dist'",
+    ),
     "fis_inputs_before_outputs": (
         {"/fis/inputs/0": "age", "/fis/outputs": DELETE},
         "/fis/inputs/0: unknown variable 'age'",
@@ -566,6 +593,10 @@ GOLDEN_ERRORS = {
     "fis_outputs_missing": ({"/fis/outputs": DELETE}, "/fis: missing required key 'outputs'"),
     "fis_outputs_empty": ({"/fis/outputs": []}, "/fis/outputs: needs at least one variable"),
     "fis_output_unknown": ({"/fis/outputs/0": "speed"}, "/fis/outputs/0: unknown variable 'speed'"),
+    "fis_output_repeated": (
+        {"/fis/outputs": ["y", "y"]},
+        "/fis/outputs/1: duplicate variable name 'y'",
+    ),
     "fis_output_also_input": (
         {"/fis/outputs/0": "dist"},
         "/fis: variables cannot be both input and output: ['dist']",
@@ -598,6 +629,10 @@ GOLDEN_ERRORS = {
     ),
     "fis_resolution_one": (
         {"/fis/defuzz_resolution": 1},
+        "/fis: defuzz_resolution must be an integer from 2 to 1000000",
+    ),
+    "fis_resolution_past_the_bound": (
+        {"/fis/defuzz_resolution": MAX_DEFUZZ_RESOLUTION + 1},
         "/fis: defuzz_resolution must be an integer from 2 to 1000000",
     ),
     "fis_rules_parsed_before_resolution_range": (
@@ -763,44 +798,6 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             load_fis(file)
         assert err.value.path == "/fis"
-
-
-class TestJsonSchemaDocument:
-    def test_packaged_fixtures_validate(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
-        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
-        for name in ("case1_distance.json", "case2_distance_gender.json"):
-            ref = resources.files("lingmap").joinpath("fixtures", name)
-            doc = json.loads(ref.read_text(encoding="utf-8"))
-            jsonschema.validate(doc, schema)
-
-    def test_schema_rejects_what_loader_rejects(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
-        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
-        bad = minimal_doc(schema_version=99)
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(bad, schema)
-
-    def test_resolution_bound_matches_the_loader(self):
-        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
-        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
-        resolution = schema["properties"]["fis"]["properties"]["defuzz_resolution"]
-        assert resolution["maximum"] == MAX_DEFUZZ_RESOLUTION
-
-    def test_membership_branches_match_shape_classes(self):
-        schema_ref = resources.files("lingmap").joinpath("schema", "catalog.schema.json")
-        schema = json.loads(schema_ref.read_text(encoding="utf-8"))
-        branches = {
-            b["properties"]["type"]["const"]: (set(b["required"]), set(b["properties"]))
-            for b in schema["$defs"]["membership"]["oneOf"]
-        }
-        expected = {}
-        for tag, cls in SHAPES.items():
-            keys = {"type", *(f.name for f in dataclasses.fields(cls))}
-            expected[tag] = (keys, keys)
-        assert branches == expected
 
 
 def reference_load_training_csv(path) -> list[float]:

@@ -706,6 +706,15 @@ class TestFitGauss2:
         assert fit.converged
         assert fit.iterations == 0
 
+    def test_no_damping_headroom_stops_unconverged(self):
+        # bumps a million away give a zero model and Jacobian, so every trial
+        # step is rejected until the damping passes its ceiling
+        xs = np.linspace(0, 1, 20)
+        init = Gauss2(0.5, 1e6, 1, 0.5, 2e6, 1)
+        fit = fit_gauss2(xs, np.exp(-((xs - 0.5) ** 2) / 0.02), init)
+        assert (fit.converged, fit.iterations) == (False, 1)
+        assert fit.params == init
+
 
 class TestElicitVariable:
     def test_on_fixture_matches_frozen_terms(self, individualism_data, case1_catalog):

@@ -94,6 +94,15 @@ class TestConstruction:
         with pytest.raises(DefinitionError, match="at least one rule"):
             FuzzyInferenceSystem(fis.inputs, fis.outputs, rules=())
 
+    def test_key_must_be_the_variable_name(self):
+        fis = make_fis()
+        inputs = {"temp": fis.inputs["temp"], "humidity": fis.inputs["hum"]}
+        rules = parse_rules("if temp is hot then fan is fast")
+        with pytest.raises(
+            DefinitionError, match="catalog key 'humidity' does not match variable name 'hum'"
+        ):
+            FuzzyInferenceSystem(inputs, fis.outputs, rules)
+
 
 class TestFiring:
     def test_conjunction_takes_minimum(self):

@@ -212,6 +212,13 @@ class TestCrispLabel:
         with pytest.raises(DefinitionError):
             CrispLabel([])
 
+    def test_levels_must_be_distinct(self):
+        # a repeated level was folded into the set, so a catalog listing one
+        # twice saved to other text than it was loaded from
+        with pytest.raises(DefinitionError, match="crisp label contains duplicate levels"):
+            CrispLabel(["m", "m"])
+        assert CrispLabel(iter(["f", "m"])).levels == {"f", "m"}
+
     def test_equality_ignores_level_order(self):
         assert CrispLabel(["a", "b"]) == CrispLabel(["b", "a"])
 

@@ -82,6 +82,11 @@ class TestLinguisticVariable:
         with pytest.raises(DefinitionError):
             LinguisticVariable("x", "ratio", Interval(0, 1), {})
 
+    def test_term_names_must_be_nonempty(self):
+        # no rule can name an empty term
+        with pytest.raises(DefinitionError, match="variable 'x': term names must be nonempty"):
+            LinguisticVariable("x", "ratio", Interval(0, 1), {"": Trapezoid(0, 0, 1, 1)})
+
     def test_interval_domain_rejects_crisp_terms(self):
         with pytest.raises(DefinitionError):
             LinguisticVariable("x", "ratio", Interval(0, 1), {"t": CrispLabel(["a"])})
