@@ -21,7 +21,7 @@ from .dataio import Catalog, _overwrite, load_catalog, load_fis, load_training_c
 from .elicit import elicit_variable
 from .errors import LingmapError, NoRuleFiredError
 from .inference import FuzzyInferenceSystem, evaluate
-from .variables import VARIABLE_KINDS, CodeList, Interval, coverage_gaps
+from .variables import _IDENT, VARIABLE_KINDS, CodeList, Interval, coverage_gaps
 
 # Largest |expected - actual| the reproduce command accepts, in output units.
 REPRODUCE_TOLERANCE = 5.0
@@ -136,7 +136,7 @@ def _parse_axis(text: str) -> tuple:
 def _default_variable_name(data_path: str) -> str:
     stem = os.path.splitext(os.path.basename(data_path))[0]
     name = re.sub(r"[^A-Za-z0-9_]", "_", stem)
-    if not name or not name[0].isalpha():
+    if not _IDENT.fullmatch(name):
         name = "x" + name
     return name
 

@@ -36,7 +36,7 @@ from .errors import DatasetError, DefinitionError, SchemaError
 from .inference import FuzzyInferenceSystem
 from .membership import SHAPES
 from .rules import RuleSyntaxError, RuleValidationError, format_rules, parse_rules
-from .variables import VARIABLE_KINDS, CodeList, Interval, LinguisticVariable
+from .variables import VARIABLE_KINDS, CodeList, Interval, LinguisticVariable, _check_keys
 
 SCHEMA_VERSION = 1
 
@@ -56,11 +56,7 @@ class Catalog:
 
     def __post_init__(self):
         self.variables = dict(self.variables)
-        for name, var in self.variables.items():
-            if name != var.name:
-                raise DefinitionError(
-                    f"catalog key '{name}' does not match variable name '{var.name}'"
-                )
+        _check_keys(self.variables)
         system = {} if self.fis is None else {**self.fis.inputs, **self.fis.outputs}
         for name, var in system.items():
             if self.variables.setdefault(name, var) != var:
@@ -256,7 +252,7 @@ def catalog_from_doc(doc) -> Catalog:
     """Build a Catalog from a parsed JSON document, validating as it goes."""
     doc = _object(doc, "/", {"schema_version", "metadata", "variables", "fis"})
     version = _get(doc, "schema_version", "/")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             "/schema_version", f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )

@@ -36,12 +36,8 @@ Stage 1 takes O(n) memory for any radius, and O(n log n + n *
 HERMITE_TERMS) time plus O(n) for each value recomputed exactly; the
 n x n formulation (Chiu 1994) takes O(n^2) of both.  A fast Gauss
 transform (Greengard & Strain 1991) approximates every potential with a
-proven error bound, and each decision is taken on potentials recomputed
-exactly as the n x n formulation computes them, for the values the bound
-cannot tell from the strongest.  So the centers equal that formulation's
-bit for bit.  Those values are a handful on most data, but most of the
-values of evenly spaced data at small radii, whose potentials tie to
-within rounding.
+proven error bound, and the centers equal the n x n formulation's bit for
+bit, as the subtractive_clusters docstring argues.
 
 Stage 2 makes no start of its own: fcm runs from the centers it is given,
 which must be distinct and within the data's range, as the distinct data
@@ -51,16 +47,14 @@ A TrainingSet sorts its rows once, in O(n log n), the first time they
 are read, and keeps the order, the sorted rows and the runs of equal
 values in them.  Stages 1 and 2 read those, and elicit_variable hands
 stage 3 the sorted rows, so no stage sorts the rows again; the fit still
-merges its (value, membership) pairs, which numpy's lexsort orders in
-about a tenth of the time when they come sorted.  An iteration of fcm or
-of the fit then takes a number of numpy calls that does not grow with n,
-and array work in proportion to the number of distinct values.  A fit
-whose pairs are all distinct skips the weights, which would all be
-exactly 1.  A trial step of the fit evaluates only the model; the
-Jacobian is built once per accepted step, from the intermediates of the
-trial that was accepted.  200 000 integer scores from 0 to 100 elicit in
-0.03-0.04 s on a shared 2-core x86-64 host, where each stage sorting
-the rows again took 0.03-0.05 s.
+merges its (value, membership) pairs with numpy's lexsort.  An iteration
+of fcm or of the fit then takes a number of numpy calls that does not
+grow with n, and array work in proportion to the number of distinct
+values.  A fit whose pairs are all distinct skips the weights, which
+would all be exactly 1.  A trial step of the fit evaluates only the
+model; the Jacobian is built once per accepted step, from the
+intermediates of the trial that was accepted.  bench/run.py times each
+stage, and the BENCH_*.json files hold its results.
 
 The only setting is the cluster radius, a fraction of the data span
 (default 0.5).  Every other constant is fixed:
@@ -367,8 +361,18 @@ def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
     exactly: a handful on most data, but most values of evenly spaced data
     at small radii, whose potentials tie to within rounding.  The centers
     equal those of the dense n x n formula bit for bit: every choice is made
-    on potentials that formula would compute, and the approximate potentials
-    only rule out values that their error bound keeps from being chosen.
+    on potentials that formula would compute, recomputed exactly for the
+    values the bound cannot tell from the strongest.  A value leaves the
+    search once, for good, when it is accepted, rejected or ruled out by its
+    bound.  The dense formula zeroes an accepted or rejected value's
+    potential, which can top the others again only once all are <= 0, below
+    REJECT_RATIO of the first center's (at least 1, its own rows' exp(0)),
+    and the search ends there.  A gray-zone rejection at potential p, the
+    strongest, rules out every value that fails the gray-zone test at each
+    potential up to p its bound allows: potentials only fall, distances to
+    the centers only shrink, and none can pass the accept test, so the dense
+    formula rejects such a value whenever it comes up, or it stops the
+    search where the next value stops it too.
     """
     if not radius > 0.0:
         raise DefinitionError(f"radius must be positive, got {radius!r}")
@@ -422,24 +426,14 @@ def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
             p = p - pc * np.exp(beta * np.square(zc - zk))
         return p
 
-    # An accepted or rejected value leaves the search, as in the dense
-    # formula: an accepted one's potential drops to exactly 0 and a
-    # rejected one is zeroed, so either could top the others again only
-    # once every potential is <= 0, which ends the search.  After a
-    # rejection, the values that fail the gray-zone test at any potential
-    # their bound allows are doomed, and until the next acceptance only
-    # the others are candidates.  That changes no center: potentials only
-    # fall and distances to the centers only shrink, so a doomed value is
-    # rejected whenever it comes up, now or after later acceptances, or
-    # it stops the search where the next value would stop it too.
+    # invariant: live holds the values still in the search; a value leaves
+    # it for good once accepted, rejected or ruled out by its bound
     live = np.ones(uz.size, dtype=bool)
-    doomed = None
     dmin = np.full(uz.size, np.inf)
     centers = []
     while True:
-        open_ = live if doomed is None else live & ~doomed
-        top = np.maximum.reduce(approx, where=open_, initial=-np.inf)
-        candidates = (open_ & (approx >= top - 2.0 * margin)).nonzero()[0]
+        top = np.maximum.reduce(approx, where=live, initial=-np.inf)
+        candidates = (live & (approx >= top - 2.0 * margin)).nonzero()[0]
         if candidates.size == 0:
             break
         # the strongest candidate; of exact ties, the smallest value
@@ -450,8 +444,6 @@ def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
             # the strongest candidate passes the accept test, so it is the
             # first center
             p_first = p
-        if p <= 0.0:
-            break
         if p > ACCEPT_RATIO * p_first:
             accept = True
         elif p < REJECT_RATIO * p_first:
@@ -462,13 +454,10 @@ def subtractive_clusters(data: TrainingSet, radius: float = 0.5) -> np.ndarray:
             accept = dmin[idx] / radius + p / p_first >= 1.0
         live[idx] = False
         if not accept:
-            if doomed is None:
-                # no live potential is above p, so none passes the first test
-                high = np.minimum(approx + margin, p)
-                doomed = dmin / radius + high / p_first < 1.0
+            # no live potential is above p, so none passes the first test
+            live &= dmin / radius + np.minimum(approx + margin, p) / p_first >= 1.0
             continue
 
-        doomed = None
         centers.append(idx)
         revisions.append((p, uz[idx]))
         approx -= p * np.exp(beta * np.square(uz[idx] - uz))

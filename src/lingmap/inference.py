@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DefinitionError, EvaluationError, NoRuleFiredError
 from .rules import Rule, check_rules
-from .variables import Interval, LinguisticVariable, _column, _single, fuzzify
+from .variables import Interval, LinguisticVariable, _check_keys, _column, _single, fuzzify
 
 # evaluate runs its batch in chunks of _CHUNK_FLOATS // defuzz_resolution
 # profiles (at least one), so that its largest temporary, the chunk's
@@ -76,11 +76,7 @@ class FuzzyInferenceSystem:
             raise DefinitionError(
                 f"defuzz_resolution must be an integer from 2 to {MAX_DEFUZZ_RESOLUTION}"
             )
-        for name, var in {**self.inputs, **self.outputs}.items():
-            if name != var.name:
-                raise DefinitionError(
-                    f"catalog key '{name}' does not match variable name '{var.name}'"
-                )
+        _check_keys({**self.inputs, **self.outputs})
         overlap = set(self.inputs) & set(self.outputs)
         if overlap:
             raise DefinitionError(

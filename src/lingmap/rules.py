@@ -17,12 +17,12 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DefinitionError, RuleSyntaxError, RuleValidationError
-from .variables import LinguisticVariable
+from .variables import _IDENT, LinguisticVariable
 
 KEYWORDS = ("if", "is", "and", "then")
 
 # an identifier or keyword, else any one character but a blank
-_TOKENS = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[^ \t]")
+_TOKENS = re.compile(rf"{_IDENT.pattern}|[^ \t]")
 _VARIABLE = "a variable name"
 _TERM = "a term name"
 # what the grammar wants after each token but a term name and the end of
@@ -73,7 +73,7 @@ def _mismatch(word: str, want) -> str | None:
         want = " or ".join(f"'{k}'" for k in want) if want[0] else "end of line"
     elif word.lower() in KEYWORDS:
         found = f"keyword '{word}'"
-    elif word[:1].isalpha() and word.isascii():  # "é" is a one-character token
+    elif _IDENT.fullmatch(word):
         return None
     return f"expected {want}, got {found}"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -13,6 +14,9 @@ from .errors import DefinitionError, DomainError, EvaluationError
 from .membership import _KERNELS, CrispLabel, MembershipFunction
 
 VARIABLE_KINDS = ("nominal", "ordinal", "interval", "ratio")
+
+# IDENT := letter (letter | digit | "_")*, the names a rule can spell
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @lru_cache(maxsize=64)
@@ -68,6 +72,19 @@ class CodeList:
         return "{" + ", ".join(str(c) for c in self.codes) + "}"
 
 
+def _check_name(name: str, what: str) -> None:
+    """Refuse a nonempty name that no rule can spell."""
+    if not (isinstance(name, str) and _IDENT.fullmatch(name)):
+        raise DefinitionError(f"{what} {name!r} must be a letter followed by letters, digits or '_'")
+
+
+def _check_keys(variables: Mapping[str, LinguisticVariable]) -> None:
+    """Refuse a map whose key differs from its variable's name."""
+    for name, var in variables.items():
+        if name != var.name:
+            raise DefinitionError(f"catalog key '{name}' does not match variable name '{var.name}'")
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named variable whose values are words grounded in membership functions.
@@ -86,6 +103,7 @@ class LinguisticVariable:
     def __post_init__(self):
         if not self.name:
             raise DefinitionError("variable name must be nonempty")
+        _check_name(self.name, "variable name")
         if self.kind not in VARIABLE_KINDS:
             raise DefinitionError(
                 f"variable '{self.name}': kind must be one of {VARIABLE_KINDS}, got {self.kind!r}"
@@ -96,6 +114,7 @@ class LinguisticVariable:
         for term, mf in self.terms.items():
             if not term:
                 raise DefinitionError(f"variable '{self.name}': term names must be nonempty")
+            _check_name(term, f"variable '{self.name}': term name")
             if isinstance(self.domain, CodeList):
                 if not isinstance(mf, CrispLabel):
                     raise DefinitionError(

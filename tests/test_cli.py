@@ -460,6 +460,16 @@ class TestElicit:
         capsys.readouterr()
         assert list(load_catalog(out).variables) == ["x2024_scores"]
 
+    def test_name_no_rule_can_spell(self, capsys, tmp_path, csv_path):
+        out = tmp_path / "cat.json"
+        args = ["elicit", "--data", csv_path, "--domain", "0,100", "--name", "a b",
+                "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: variable name 'a b' must be a letter followed by letters, digits or '_'\n"
+        )
+        assert not out.exists()
+
     def test_warnings_go_to_stderr(self, capsys, tmp_path):
         # two tight modes far apart leave the middle of the domain uncovered
         data = tmp_path / "gap.csv"

@@ -318,6 +318,10 @@ GOLDEN_ERRORS = {
         {"/schema_version": True},
         "/schema_version: unsupported schema version True (expected 1)",
     ),
+    "version_float": (
+        {"/schema_version": 1.0},
+        "/schema_version: unsupported schema version 1.0 (expected 1)",
+    ),
     "metadata_array": ({"/metadata": []}, "/metadata: expected an object, got list"),
     "variables_missing": ({"/variables": DELETE}, "/: missing required key 'variables'"),
     "variables_object": ({"/variables": {}}, "/variables: expected an array, got dict"),
@@ -337,6 +341,11 @@ GOLDEN_ERRORS = {
         "/variables/0/name: expected a string, got int",
     ),
     "name_empty": ({"/variables/0/name": ""}, "/variables/0: variable name must be nonempty"),
+    "name_not_an_identifier": (
+        {"/variables/0/name": "distance to robot"},
+        "/variables/0: variable name 'distance to robot' must be a letter followed by letters, "
+        "digits or '_'",
+    ),
     "kind_missing": ({"/variables/0/kind": DELETE}, "/variables/0: missing required key 'kind'"),
     "kind_int": ({"/variables/0/kind": 3}, "/variables/0/kind: expected a string, got int"),
     "kind_before_domain": (
@@ -440,6 +449,11 @@ GOLDEN_ERRORS = {
     "term_name_empty": (
         {"/variables/0/terms/0/name": ""},
         "/variables/0: variable 'dist': term names must be nonempty",
+    ),
+    "term_name_not_an_identifier": (
+        {"/variables/0/terms/0/name": "very near"},
+        "/variables/0: variable 'dist': term name 'very near' must be a letter followed by "
+        "letters, digits or '_'",
     ),
     "term_duplicate": (
         {"/variables/0/terms/1/name": "near"},
